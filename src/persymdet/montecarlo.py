@@ -3,14 +3,18 @@
 Trials are embarrassingly parallel. Each trial draws from its own
 counter-derived stream (see :mod:`persymdet.streams`), so every output is a
 pure function of ``(plan, master_seed)`` and independent of chunking or
-worker count. Heavy linear algebra is evaluated in vectorized chunks; the
-chunk kernels are pinned to the public single-trial operations by tests.
+worker count. Heavy linear algebra is evaluated in vectorized chunks that
+work in canonical coordinates throughout: cached real maps take each
+trial's normals straight to ``(Zp, S)``, and one batched solve against
+``S22`` gives both quadratic forms. The chunk kernels are pinned to the
+public single-trial operations by tests.
 """
 
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 from typing import NamedTuple, Optional, Sequence, Union
 
@@ -20,7 +24,7 @@ from scipy.stats import ks_2samp
 from . import detectors, scenario
 from .detectors import DetectorKind
 from .errors import DegenerateStatisticError
-from .statistics import eig2_desc
+from .statistics import check_support, eig2_desc
 from .streams import derive_seed, stream_rekeyer
 
 _CHUNK = 4096  # fixed: results must not depend on worker count
@@ -99,57 +103,110 @@ def binomial_band(target: float, trials: int, sigmas: float = 3.0) -> float:
     return sigmas * math.sqrt(target * (1.0 - target) / trials)
 
 
-def _psi_batch(model, prim: np.ndarray, sec: np.ndarray):
-    """Vectorized canonicalize + assemble + quadratic forms for a chunk.
+class _ChunkMaps(NamedTuple):
+    """Real maps from one trial's normals to canonical coordinates.
 
-    Mirrors canonicalize() -> assemble() -> compute_psi() over stacked
-    trials; equivalence with that public path is asserted by tests.
+    A trial's normal buffer is ``[a | b | ak | bk]``: the real and imaginary
+    draws of the primary, then of the K secondaries. With ``C = V T chol``,
+    the canonical pair of ``chol (a + i b) / sqrt(2)`` is
+    ``z1 = (Re C a - Im C b) / sqrt(2)``, ``z2 = (Im C a + Re C b) / sqrt(2)``,
+    so each block is one real GEMM of its normals. ``prim`` maps ``[a | b]``
+    to Zp flattened row-major (columns ``z1_0, z2_0, z1_1, ...``) and
+    ``prim_mean`` is the H1 target ``alpha s`` in that layout. ``sec_re`` and
+    ``sec_im`` map ``ak`` and ``bk`` to ``[z1k | z2k]`` and carry the
+    ``sqrt(gamma)`` power scaling.
     """
-    t_t = model.transform.t.T
-    v_t = model.transform.v.T
-    tr = prim @ t_t
-    z1 = tr.real @ v_t
-    z2 = tr.imag @ v_t
-    trk = sec @ t_t
-    z1k = trk.real @ v_t
-    z2k = trk.imag @ v_t
-    zp = np.stack([z1, z2], axis=-1)
-    zs = np.concatenate([z1k, z2k], axis=1)
-    s = np.einsum("bkn,bkm->bnm", zs, zs)
-    psi0 = np.swapaxes(zp, 1, 2) @ np.linalg.solve(s, zp)
-    psi1 = np.swapaxes(zp[:, 1:, :], 1, 2) @ np.linalg.solve(s[:, 1:, 1:], zp[:, 1:, :])
-    psi0 = 0.5 * (psi0 + np.swapaxes(psi0, 1, 2))
-    psi1 = 0.5 * (psi1 + np.swapaxes(psi1, 1, 2))
-    return psi0, psi1
+
+    prim: np.ndarray
+    prim_mean: np.ndarray
+    sec_re: np.ndarray
+    sec_im: np.ndarray
 
 
-def _draw_batch(cfg, model, start: int, count: int, master_seed: int):
-    """Stacked dataset draws for trials ``start .. start + count - 1``.
+@lru_cache(maxsize=128)
+def _chunk_maps(cfg: scenario.ScenarioConfig) -> _ChunkMaps:
+    model = scenario._prepare(cfg)
+    n = cfg.n
+    t, v = model.transform.t, model.transform.v
+    c = v @ (t @ model.chol)
+    cr, ci = c.real.T, c.imag.T
+    rows_a = np.hstack([cr, ci]) * scenario._SQRT_HALF
+    rows_b = np.hstack([-ci, cr]) * scenario._SQRT_HALF
+    interleave = np.arange(2 * n).reshape(2, n).T.ravel()
+    prim = np.vstack([rows_a, rows_b])[:, interleave]
+    target = v @ (t @ (model.alpha * model.steering.entries))
+    prim_mean = np.column_stack([target.real, target.imag]).ravel()
+    root_gamma = math.sqrt(cfg.gamma)
+    return _ChunkMaps(prim, prim_mean, root_gamma * rows_a, root_gamma * rows_b)
+
+
+def _draw_batch(cfg, model: _ChunkMaps, start: int, count: int, master_seed: int):
+    """Canonical ``(Zp, S)`` for trials ``start .. start + count - 1``.
 
     Consumes each trial's stream in the same order as
     :func:`persymdet.scenario.sample_dataset` (primary real/imag parts, then
-    secondary real/imag parts), just buffered into one normal draw per trial
-    so the transform work can be batched.
+    secondary real/imag parts), buffered into one normal draw per trial, and
+    maps the buffer straight to canonical coordinates with the real maps of
+    ``model``. Returns ``zp`` of shape ``(count, N, 2)`` and the scatter
+    ``s`` of shape ``(count, N, N)``; tests pin both to
+    ``assemble(canonicalize(sample_dataset(...)))``.
     """
     n, k = cfg.n, cfg.k
-    width = 2 * n + 2 * k * n
-    buf = np.empty((count, width))
+    kn = k * n
+    buf = np.empty((count, 2 * n + 2 * kn))
     rekey = stream_rekeyer()
     for j in range(count):
-        buf[j] = rekey(master_seed, start + j).standard_normal(width)
-    xp = (buf[:, :n] + 1j * buf[:, n : 2 * n]) * scenario._SQRT_HALF
-    xs = (buf[:, 2 * n : 2 * n + k * n] + 1j * buf[:, 2 * n + k * n :]) * scenario._SQRT_HALF
-    prim = xp @ model.chol.T
+        rekey(master_seed, start + j).standard_normal(out=buf[j])
+    zp = buf[:, : 2 * n] @ model.prim
     if cfg.hypothesis == "H1":
-        prim = prim + model.alpha * model.steering.entries
-    sec = np.sqrt(cfg.gamma) * (xs.reshape(count, k, n) @ model.chol.T)
-    return prim, sec
+        zp += model.prim_mean
+    zs = buf[:, 2 * n : 2 * n + kn].reshape(count, k, n) @ model.sec_re
+    zs += buf[:, 2 * n + kn :].reshape(count, k, n) @ model.sec_im
+    # rows [z1k_j | z2k_j] split into the 2K real secondaries z1k_j, z2k_j
+    zs = zs.reshape(count, 2 * k, n)
+    return zp.reshape(count, n, 2), np.swapaxes(zs, 1, 2) @ zs
+
+
+def _psi_batch(zp: np.ndarray, s: np.ndarray, index_base: int = 0):
+    """Quadratic forms ``(psi0, psi1)`` of stacked ``(Zp, S)``, one solve.
+
+    With ``X = S22^-1 [Z2p | s21]``: ``psi1 = Z2p' X12``, the Schur
+    complement ``c = s11 - s12 X3`` and ``u = z1p - s12 X12`` give
+    ``psi0 = psi1 + u' u / c`` (block inverse of S), so ``psi0 - psi1`` is a
+    rank-one PSD update by construction. Mirrors compute_psi() over stacked
+    trials; equivalence is asserted by tests. A singular ``S22`` or a
+    non-positive ``c`` raises :class:`DegenerateStatisticError` naming the
+    trial ``index_base + offset``.
+    """
+    z2p = zp[:, 1:, :]
+    s22 = s[:, 1:, 1:]
+    try:
+        x = np.linalg.solve(s22, np.concatenate([z2p, s[:, 1:, :1]], axis=2))
+    except np.linalg.LinAlgError:
+        # LU hit an exactly zero pivot, so that trial's determinant is zero
+        offset = int(np.argmax(np.linalg.det(s22) == 0.0))
+        raise DegenerateStatisticError(
+            f"trial {index_base + offset}: scatter block S22 is singular"
+        ) from None
+    psi1 = np.swapaxes(z2p, 1, 2) @ x[:, :, :2]
+    psi1 = 0.5 * (psi1 + np.swapaxes(psi1, 1, 2))
+    w = (s[:, :1, 1:] @ x)[:, 0, :]
+    c = s[:, 0, 0] - w[:, 2]
+    bad = ~(np.isfinite(c) & (c > 0.0))
+    if np.any(bad):
+        offset = int(np.argmax(bad))
+        raise DegenerateStatisticError(
+            f"trial {index_base + offset}: Schur complement of S22 is {c[offset]!r}"
+        )
+    u = zp[:, 0, :] - w[:, :2]
+    psi0 = psi1 + (u[:, :, None] * u[:, None, :]) / c[:, None, None]
+    return psi0, psi1
 
 
 def _run_chunk(cfg, model, names, span, master_seed, with_lam):
     start, stop = span
-    prim, sec = _draw_batch(cfg, model, start, stop - start, master_seed)
-    psi0, psi1 = _psi_batch(model, prim, sec)
+    zp, s = _draw_batch(cfg, model, start, stop - start, master_seed)
+    psi0, psi1 = _psi_batch(zp, s, index_base=start)
     values = {
         name: detectors._batch_values(name, psi0, psi1, cfg.k, cfg.n, index_base=start)
         for name in names
@@ -163,7 +220,8 @@ def _run_chunk(cfg, model, names, span, master_seed, with_lam):
 
 
 def _collect(cfg, names, trials, master_seed, workers, with_lam=False):
-    model = scenario._prepare(cfg)
+    check_support(cfg.n, cfg.k)
+    model = _chunk_maps(cfg)
     out = {name: np.empty(trials) for name in names}
     lam = np.empty((trials, 4)) if with_lam else None
     spans = [(a, min(a + _CHUNK, trials)) for a in range(0, trials, _CHUNK)]

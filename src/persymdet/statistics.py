@@ -33,6 +33,25 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def check_support(n: int, k: int) -> None:
+    """Training-support guard shared by the scalar and batched paths.
+
+    Raises :class:`SingularSecondaryError` when ``2K < N`` (the scatter of
+    ``2K`` real secondaries is singular) and warns when ``K < 2N``. Both
+    callers sit two frames below the user's call, where the warning points.
+    """
+    if 2 * k < n:
+        raise SingularSecondaryError(
+            f"2K >= N required for an invertible scatter (K={k}, N={n})"
+        )
+    if k < 2 * n:
+        warnings.warn(
+            f"K={k} secondaries with N={n} channels is below the "
+            "recommended K >= 2N training support",
+            stacklevel=4,
+        )
+
+
 @dataclass(frozen=True)
 class SufficientStatistic:
     """The pair ``(Zp, S)`` with its block partition.
@@ -56,16 +75,7 @@ class SufficientStatistic:
             raise DimensionError(f"S must be ({n}, {n}), got {s.shape}")
         if self.k < 1:
             raise ValueError("secondary count K must be >= 1")
-        if 2 * self.k < n:
-            raise SingularSecondaryError(
-                f"2K >= N required for an invertible scatter (K={self.k}, N={n})"
-            )
-        if self.k < 2 * n:
-            warnings.warn(
-                f"K={self.k} secondaries with N={n} channels is below the "
-                "recommended K >= 2N training support",
-                stacklevel=2,
-            )
+        check_support(n, self.k)
         scale = np.linalg.norm(s)
         if np.linalg.norm(s - s.T) > 1e-12 * max(scale, 1e-300):
             raise ValueError("S is not symmetric")

@@ -23,27 +23,30 @@ def stream_rekeyer():
 
     Constructing a Philox bit generator gathers OS entropy even when a key
     is supplied, which dominates tight Monte Carlo loops. The returned
-    callable reuses one bit generator and injects the fresh
-    ``(master_seed, index)`` key by state assignment, which is bit-for-bit
-    identical to constructing :func:`derive_stream` anew (pinned by tests).
-    Not thread-safe: create one rekeyer per worker chunk.
+    callable reuses one bit generator, one state dict and one key array: it
+    writes the fresh ``(master_seed, index)`` key into the array and assigns
+    the dict (which copies it into the bit generator), so a rekey builds
+    no new dict or array. The result is bit-for-bit identical to constructing
+    :func:`derive_stream` anew (pinned by tests). Not thread-safe: create
+    one rekeyer per worker chunk.
     """
     bitgen = np.random.Philox(key=0)
     gen = np.random.Generator(bitgen)
     zeros = np.zeros(4, dtype=np.uint64)
+    key = np.zeros(2, dtype=np.uint64)
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": zeros, "key": key},
+        "buffer": zeros,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
 
     def rekey(master_seed: int, index: int) -> np.random.Generator:
-        bitgen.state = {
-            "bit_generator": "Philox",
-            "state": {
-                "counter": zeros,
-                "key": np.array([master_seed & _MASK64, index & _MASK64], dtype=np.uint64),
-            },
-            "buffer": zeros,
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
+        key[0] = master_seed & _MASK64
+        key[1] = index & _MASK64
+        bitgen.state = state
         return gen
 
     return rekey

@@ -158,6 +158,12 @@ class TestMisSample:
         cfg = _write(tmp_path / "c.json", {"n": 2, "k": 8, "trials": 5})
         assert main(["mis-sample", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
 
+    def test_too_few_secondaries_is_config_error(self, tmp_path, capsys):
+        cfg = _write(tmp_path / "c.json", {"n": 8, "k": 3, "trials": 5})
+        assert main(["mis-sample", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "2K >= N" in err and "Traceback" not in err
+
 
 class TestConfigHandling:
     def test_missing_file(self, tmp_path):

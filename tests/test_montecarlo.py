@@ -3,6 +3,7 @@ import pytest
 
 from persymdet import (
     DegenerateStatisticError,
+    SingularSecondaryError,
     ScenarioConfig,
     TrialPlan,
     ancillarity_check,
@@ -23,6 +24,8 @@ from persymdet import (
     steering,
     wilson_interval,
 )
+from persymdet import canonical, detectors, group, montecarlo, scenario, streams
+from persymdet import statistics as stats_module
 from persymdet.streams import derive_stream
 
 CFG = ScenarioConfig(n=8, k=16, rho=0.5, cnr_db=5.0, nu=0.1)
@@ -65,6 +68,111 @@ class TestEngine:
     def test_mis_needs_three_channels(self):
         with pytest.raises(DegenerateStatisticError):
             mis_samples(ScenarioConfig(n=2, k=8), 10, 0)
+
+    def test_too_few_secondaries_is_typed(self):
+        # 2K < N: the scatter is singular for every trial
+        with pytest.raises(SingularSecondaryError, match="2K >= N"):
+            mis_samples(ScenarioConfig(n=8, k=3), 100, 1)
+        with pytest.raises(SingularSecondaryError):
+            statistic_samples(ScenarioConfig(n=8, k=3), "glr", 100, 1)
+
+    def test_low_support_warns_like_scalar_path(self):
+        with pytest.warns(UserWarning, match="K >= 2N"):
+            t, lam = mis_samples(ScenarioConfig(n=8, k=4), 100, 1)
+        assert np.isfinite(t).all() and np.isfinite(lam).all()
+
+
+class TestPsiBatchGuards:
+    @staticmethod
+    def _pair(count, n=4):
+        zp = np.ones((count, n, 2))
+        s = np.broadcast_to(4.0 * np.eye(n), (count, n, n)).copy()
+        return zp, s
+
+    def test_singular_s22_names_trial(self):
+        zp, s = self._pair(5)
+        s[3, 2, :] = 0.0
+        s[3, :, 2] = 0.0
+        with pytest.raises(DegenerateStatisticError, match="trial 103"):
+            montecarlo._psi_batch(zp, s, index_base=100)
+
+    @pytest.mark.parametrize("s11", [1.0, 0.5, np.nan])
+    def test_nonpositive_schur_complement_names_trial(self, s11):
+        zp, s = self._pair(5)
+        # s11 - s12 S22^-1 s21 = s11 - 1
+        s[2, 0, :] = s[2, :, 0] = [s11, 2.0, 0.0, 0.0]
+        with pytest.raises(DegenerateStatisticError, match="trial 42"):
+            montecarlo._psi_batch(zp, s, index_base=40)
+
+
+class TestBatchedStructure:
+    """Exact structure of the single-solve kernel on every trial."""
+
+    GRID = [
+        ScenarioConfig(n=8, k=16, gamma=g, rho=r, cnr_db=10.0, nu=0.1)
+        for g in (0.25, 1.0, 4.0)
+        for r in (0.0, 0.9, 0.99)
+    ] + [ScenarioConfig(n=32, k=64, rho=0.9, cnr_db=10.0, nu=0.1)]
+
+    @pytest.mark.parametrize("cfg", GRID, ids=lambda c: f"n{c.n}-g{c.gamma}-r{c.rho}")
+    def test_rank_one_order_and_interlacing(self, cfg):
+        trials, seed = (512 if cfg.n > 8 else 2048), 17
+        zp, s = montecarlo._draw_batch(cfg, montecarlo._chunk_maps(cfg), 0, trials, seed)
+        psi0, psi1 = montecarlo._psi_batch(zp, s)
+        tr0 = psi0[:, 0, 0] + psi0[:, 1, 1]
+        tr1 = psi1[:, 0, 0] + psi1[:, 1, 1]
+        assert np.all(tr0 >= tr1)
+        assert np.all(statistic_samples(cfg, "wald", trials, seed)["wald"] >= 0.0)
+        t, _ = mis_samples(cfg, trials, seed)
+        slack = 1e-10  # acceptance criterion 4
+        assert np.all(t[:, 0] >= t[:, 2] - slack)
+        assert np.all(t[:, 2] >= t[:, 1] - slack)
+        assert np.all(t[:, 1] >= 1.0 - slack)
+
+    def test_order_exact_when_rank_one_term_vanishes(self):
+        # z1p = s12 S22^-1 Z2p makes psi0 = psi1 up to round-off, where a
+        # difference of separately rounded traces would go either way
+        cfg = self.GRID[0]
+        zp, s = montecarlo._draw_batch(cfg, montecarlo._chunk_maps(cfg), 0, 2048, 5)
+        zp[:, 0, :] = (s[:, :1, 1:] @ np.linalg.solve(s[:, 1:, 1:], zp[:, 1:, :]))[:, 0, :]
+        psi0, psi1 = montecarlo._psi_batch(zp, s)
+        assert np.all(psi0[:, 0, 0] + psi0[:, 1, 1] >= psi1[:, 0, 0] + psi1[:, 1, 1])
+        assert np.all(detectors._batch_values("wald", psi0, psi1, cfg.k, cfg.n) >= 0.0)
+
+
+class TestTraceEntryPoints:
+    """The layer entry points the traced benchmark (perfbench) wraps."""
+
+    ENTRY_POINTS = {
+        montecarlo: ("_run_chunk", "_draw_batch", "stream_rekeyer", "_psi_batch"),
+        detectors: ("_batch_values", "glr", "two_step_glr", "rao", "wald", "mis_form"),
+        scenario: ("sample_dataset",),
+        canonical: ("canonicalize",),
+        stats_module: ("assemble", "compute_psi", "mis"),
+        group: ("sample_group_element", "act"),
+    }
+
+    def test_entry_points_exist(self):
+        for module, names in self.ENTRY_POINTS.items():
+            for name in names:
+                assert callable(getattr(module, name, None)), f"{module.__name__}.{name}"
+
+    def test_one_rekey_per_trial(self, monkeypatch):
+        calls = []
+
+        def counting_rekeyer():
+            rekey = streams.stream_rekeyer()
+
+            def counted(*args):
+                calls.append(args)
+                return rekey(*args)
+
+            return counted
+
+        monkeypatch.setattr(montecarlo, "stream_rekeyer", counting_rekeyer)
+        start, count, seed = 10, 37, 3
+        montecarlo._draw_batch(CFG, montecarlo._chunk_maps(CFG), start, count, seed)
+        assert calls == [(seed, start + j) for j in range(count)]
 
 
 class TestCalibration:
