@@ -5,19 +5,22 @@ JSON config, run the corresponding verification or estimation job, write CSV
 or JSON results plus a run manifest, and exit with a scripting-friendly
 code: 0 success, 1 property/statistical failure, 2 config error, 3 I/O
 error. Every command is deterministic for a fixed config and ``--seed``;
-``--workers`` is a throughput hint that never changes results. The
-``PERSYM_LOG`` environment variable selects the log level.
+``--workers`` (at least 1) sets the Monte Carlo engine's thread count and
+never changes results. The ``PERSYM_LOG`` environment variable selects the
+log level.
 """
 
 import argparse
 import json
 import logging
 import os
+import platform
 import sys
 import time
 from dataclasses import asdict, dataclass
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .canonical import build_transform, canonicalize
@@ -66,14 +69,21 @@ class _ConfigError(Exception):
 
 @dataclass(frozen=True)
 class RunManifest:
-    """Completion marker written after all outputs of a command."""
+    """Completion marker written after all outputs of a command.
+
+    Besides what was run, it records how: the worker count and the
+    ``environment`` (python, numpy, scipy and BLAS versions, CPU count) that
+    the duration depends on. None of it enters the CSV body.
+    """
 
     command: str
     config: dict
     master_seed: int
+    workers: int
     version: str
     duration_seconds: float
     outputs: tuple
+    environment: dict
 
 
 def _load_config(path: str) -> dict:
@@ -96,6 +106,17 @@ def _require(raw: dict, key: str):
     if key not in raw:
         raise _ConfigError(f"config key {key!r} is required")
     return raw[key]
+
+
+def _trials(raw: dict, default=None) -> int:
+    value = _require(raw, "trials") if default is None else raw.get("trials", default)
+    try:
+        trials = int(value)
+    except (TypeError, ValueError):
+        raise _ConfigError(f"trials must be an integer, not {value!r}") from None
+    if trials < 1:
+        raise _ConfigError("trials must be >= 1")
+    return trials
 
 
 def _scenario_from(raw: dict, seed: int) -> ScenarioConfig:
@@ -145,14 +166,28 @@ def _write_csv(path: str, header: str, rows) -> None:
             fh.write(",".join(_fmt(x) for x in row) + "\n")
 
 
-def _write_manifest(out_path, command, config, seed, outputs, started) -> None:
+def _environment() -> dict:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "blas": blas.get("name"),
+        "blas_version": blas.get("version"),
+        "cpu_count": os.cpu_count(),
+    }
+
+
+def _write_manifest(out_path, command, config, seed, workers, outputs, started) -> None:
     manifest = RunManifest(
         command=command,
         config=config,
         master_seed=seed,
+        workers=workers,
         version=__version__,
         duration_seconds=time.monotonic() - started,
         outputs=tuple(outputs),
+        environment=_environment(),
     )
     with open(out_path + ".manifest.json", "w", encoding="utf-8") as fh:
         json.dump(asdict(manifest), fh, indent=2, default=str)
@@ -244,9 +279,7 @@ def cmd_invariance_check(config_path, out_path, seed, workers) -> int:
             "degenerate statistic: the MIS suites need n >= 3 (lambda4 "
             "vanishes identically for n = 2)"
         )
-    n_stats = int(raw.get("trials", 100))
-    if n_stats < 1:
-        raise _ConfigError("trials must be >= 1")
+    n_stats = _trials(raw, default=100)
     debug = bool(raw.get("debug_noninvariant", False))
     results = _run_invariance_suites(cfg, seed, n_stats, debug)
     all_pass = True
@@ -270,7 +303,8 @@ def cmd_invariance_check(config_path, out_path, seed, workers) -> int:
         with open(out_path, "w", encoding="utf-8") as fh:
             json.dump(summary, fh, indent=2)
             fh.write("\n")
-        _write_manifest(out_path, "invariance-check", raw, seed, [out_path], started)
+        # the suites run on the scalar API, which has no parallel path
+        _write_manifest(out_path, "invariance-check", raw, seed, 1, [out_path], started)
     return EXIT_OK if all_pass else EXIT_FAILURE
 
 
@@ -278,7 +312,7 @@ def cmd_cfar(config_path, out_path, seed, workers) -> int:
     started = time.monotonic()
     raw = _load_config(config_path)
     cfg = _scenario_from(raw, seed)
-    trials = int(_require(raw, "trials"))
+    trials = _trials(raw)
     target_pfa = float(_require(raw, "pfa"))
     gamma_grid = list(_require(raw, "gamma_grid"))
     rho_grid = list(_require(raw, "rho_grid"))
@@ -299,7 +333,7 @@ def cmd_cfar(config_path, out_path, seed, workers) -> int:
         for c in result.cells
     ]
     _write_csv(out_path, "detector,gamma,rho,pfa_hat,ci_lo,ci_hi,pass", rows)
-    _write_manifest(out_path, "cfar", raw, seed, [out_path], started)
+    _write_manifest(out_path, "cfar", raw, seed, workers, [out_path], started)
     n_fail = sum(not c.passed for c in result.cells)
     if n_fail:
         log.warning("%d of %d CFAR cells outside the 3-sigma band", n_fail, len(rows))
@@ -312,7 +346,7 @@ def cmd_roc(config_path, out_path, seed, workers) -> int:
     base = dict(raw)
     base.pop("sinr_db", None)  # roc drives the hypothesis itself
     cfg = _scenario_from(base, seed)
-    trials = int(_require(raw, "trials"))
+    trials = _trials(raw)
     pfa_grid = list(_require(raw, "pfa_grid"))
     if "sinr_grid" in raw:
         sinr_grid = [float(x) for x in raw["sinr_grid"]]
@@ -338,7 +372,7 @@ def cmd_roc(config_path, out_path, seed, workers) -> int:
     except ValueError as exc:
         raise _ConfigError(str(exc)) from exc
     _write_csv(out_path, "detector,sinr_db,pfa,pd,ci_lo,ci_hi", rows)
-    _write_manifest(out_path, "roc", raw, seed, [out_path], started)
+    _write_manifest(out_path, "roc", raw, seed, workers, [out_path], started)
     return EXIT_OK
 
 
@@ -348,7 +382,7 @@ def cmd_mis_sample(config_path, out_path, seed, workers) -> int:
     cfg = _scenario_from(raw, seed)
     if cfg.n < 3:
         raise _ConfigError("degenerate statistic: mis-sample needs n >= 3")
-    trials = int(_require(raw, "trials"))
+    trials = _trials(raw)
     t, lam = mis_samples(cfg, trials, seed, workers=workers)
     rows = (
         (i, cfg.hypothesis, t[i, 0], t[i, 1], t[i, 2],
@@ -360,7 +394,7 @@ def cmd_mis_sample(config_path, out_path, seed, workers) -> int:
         "trial,hypothesis,t1,t2,t3,lambda1,lambda2,lambda3,lambda4",
         rows,
     )
-    _write_manifest(out_path, "mis-sample", raw, seed, [out_path], started)
+    _write_manifest(out_path, "mis-sample", raw, seed, workers, [out_path], started)
     return EXIT_OK
 
 
@@ -382,7 +416,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--out", required=out_required, help="output file path")
         p.add_argument("--seed", type=int, default=0, help="64-bit master seed")
-        p.add_argument("--workers", type=int, default=1, help="parallelism hint")
+        p.add_argument(
+            "--workers", type=int, default=1, help="threads for Monte Carlo chunks (>= 1)"
+        )
         p.set_defaults(func=func)
     return parser
 
@@ -391,6 +427,9 @@ def main(argv=None) -> int:
     level = os.environ.get("PERSYM_LOG", "warning").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING))
     args = _build_parser().parse_args(argv)
+    if args.workers < 1:
+        print("config error: --workers must be >= 1", file=sys.stderr)
+        return EXIT_CONFIG
     try:
         return args.func(args.config, args.out, args.seed, args.workers)
     except _ConfigError as exc:

@@ -8,12 +8,24 @@ work in canonical coordinates throughout: cached real maps take each
 trial's normals straight to ``(Zp, S)``, and one batched solve against
 ``S22`` gives both quadratic forms. The chunk kernels are pinned to the
 public single-trial operations by tests.
+
+A public call hands all of its samples (every grid cell of a CFAR sweep
+and its calibration sample, both hypotheses of an ROC curve or an
+ancillarity check) to one thread pool of ``workers`` threads as fixed
+``_CHUNK``-trial chunks, so chunks of different samples overlap. A chunk's
+per-trial draw loop alternates a Python rekey, which holds the GIL, with a
+normal fill, which releases it. When a trial draws few normals the two take
+about equally long, so concurrent draw loops would only trade the GIL on
+every trial; such loops take turns on one module lock, and the workers that
+wait for it sleep while the others run the GEMM, solve and detector stages.
 """
 
 import math
+import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from contextlib import nullcontext
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import product
 from typing import NamedTuple, Optional, Sequence, Union
@@ -28,6 +40,10 @@ from .statistics import check_support, eig2_desc
 from .streams import derive_seed, stream_rekeyer
 
 _CHUNK = 4096  # fixed: results must not depend on worker count
+# Draw loops whose trials draw fewer normals than this, 2N(K+1), are bound
+# by the GIL and run one at a time (N=8, K=16 draws 272; N=32, K=64 4160).
+_GIL_BOUND_NORMALS = 1024
+_DRAW_LOCK = threading.Lock()
 _Z95 = 1.959963984540054
 
 DetectorSpec = Union[DetectorKind, str]
@@ -62,8 +78,8 @@ class TrialPlan:
     workers: int = 1
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        _check_count(self.trials, "trials")
+        _check_count(self.workers, "workers")
 
 
 @dataclass(frozen=True)
@@ -83,6 +99,14 @@ class CalibrationResult:
     target_pfa: float
     achieved_pfa_ci: tuple
     trials: int
+
+
+def _check_count(value, what: str) -> int:
+    """``value`` as an int, or ``ValueError`` if it is below 1."""
+    value = int(value)
+    if value < 1:
+        raise ValueError(f"{what} must be >= 1")
+    return value
 
 
 def wilson_interval(successes: int, trials: int, z: float = _Z95) -> tuple:
@@ -147,7 +171,9 @@ def _draw_batch(cfg, model: _ChunkMaps, start: int, count: int, master_seed: int
     :func:`persymdet.scenario.sample_dataset` (primary real/imag parts, then
     secondary real/imag parts), buffered into one normal draw per trial, and
     maps the buffer straight to canonical coordinates with the real maps of
-    ``model``. Returns ``zp`` of shape ``(count, N, 2)`` and the scatter
+    ``model``. The per-trial loop holds ``_DRAW_LOCK`` when a trial draws
+    fewer than ``_GIL_BOUND_NORMALS`` normals (see the module docstring).
+    Returns ``zp`` of shape ``(count, N, 2)`` and the scatter
     ``s`` of shape ``(count, N, N)``; tests pin both to
     ``assemble(canonicalize(sample_dataset(...)))``.
     """
@@ -155,8 +181,10 @@ def _draw_batch(cfg, model: _ChunkMaps, start: int, count: int, master_seed: int
     kn = k * n
     buf = np.empty((count, 2 * n + 2 * kn))
     rekey = stream_rekeyer()
-    for j in range(count):
-        rekey(master_seed, start + j).standard_normal(out=buf[j])
+    gil_bound = buf.shape[1] < _GIL_BOUND_NORMALS
+    with _DRAW_LOCK if gil_bound else nullcontext():
+        for j in range(count):
+            rekey(master_seed, start + j).standard_normal(out=buf[j])
     zp = buf[:, : 2 * n] @ model.prim
     if cfg.hypothesis == "H1":
         zp += model.prim_mean
@@ -219,27 +247,55 @@ def _run_chunk(cfg, model, names, span, master_seed, with_lam):
     return start, values, lam
 
 
-def _collect(cfg, names, trials, master_seed, workers, with_lam=False):
-    check_support(cfg.n, cfg.k)
-    model = _chunk_maps(cfg)
-    out = {name: np.empty(trials) for name in names}
-    lam = np.empty((trials, 4)) if with_lam else None
-    spans = [(a, min(a + _CHUNK, trials)) for a in range(0, trials, _CHUNK)]
+class _Job(NamedTuple):
+    """One sample of a public call: ``trials`` trials of ``cfg``."""
 
-    def work(span):
-        return _run_chunk(cfg, model, names, span, master_seed, with_lam)
+    cfg: scenario.ScenarioConfig
+    names: list
+    trials: int
+    master_seed: int
+    with_lam: bool = False
 
-    if workers and workers > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=int(workers)) as pool:
-            results = list(pool.map(work, spans))
-    else:
-        results = [work(span) for span in spans]
-    for start, values, lam_chunk in results:
+
+def _collect(jobs: Sequence[_Job], workers: int) -> list:
+    """Run every chunk of every job; returns ``(values, lam)`` per job.
+
+    All chunks share one pool of ``workers`` threads. Each writes its rows
+    straight into its job's output arrays, so results do not depend on the
+    order in which chunks finish.
+    """
+    workers = _check_count(workers, "workers")
+    results, tasks = [], []
+    for job in jobs:
+        trials = _check_count(job.trials, "trials")
+        check_support(job.cfg.n, job.cfg.k)
+        model = _chunk_maps(job.cfg)
+        out = {name: np.empty(trials) for name in job.names}
+        lam = np.empty((trials, 4)) if job.with_lam else None
+        results.append((out, lam))
+        for a in range(0, trials, _CHUNK):
+            tasks.append((job, model, (a, min(a + _CHUNK, trials)), out, lam))
+
+    def work(task):
+        job, model, span, out, lam = task
+        start, values, lam_chunk = _run_chunk(
+            job.cfg, model, job.names, span, job.master_seed, job.with_lam
+        )
         for name, arr in values.items():
             out[name][start : start + arr.shape[0]] = arr
-        if with_lam:
+        if job.with_lam:
             lam[start : start + lam_chunk.shape[0]] = lam_chunk
-    return out, lam
+
+    if workers > 1 and len(tasks) > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            # map re-raises the first failing chunk in submission order, as
+            # the serial loop does, and cancels the chunks not yet started
+            for _ in pool.map(work, tasks):
+                pass
+    else:
+        for task in tasks:
+            work(task)
+    return results
 
 
 def statistic_samples(
@@ -250,8 +306,7 @@ def statistic_samples(
     workers: int = 1,
 ) -> dict:
     """Per-trial detector values, keyed by canonical statistic name."""
-    names = _as_names(detector)
-    out, _ = _collect(cfg, names, int(trials), master_seed, workers)
+    [(out, _)] = _collect([_Job(cfg, _as_names(detector), trials, master_seed)], workers)
     return out
 
 
@@ -272,12 +327,16 @@ def mis_samples(
 
     Returns ``(t, lam)`` with shapes ``(trials, 3)`` and ``(trials, 4)``.
     """
+    [(_, lam)] = _collect([_mis_job(cfg, trials, master_seed)], workers)
+    return _mis_from_lam(lam), lam
+
+
+def _mis_job(cfg: scenario.ScenarioConfig, trials: int, master_seed: int) -> _Job:
     if cfg.n < 3:
         raise DegenerateStatisticError(
             "the maximal invariant needs N >= 3 (lambda4 vanishes for N = 2)"
         )
-    _, lam = _collect(cfg, [], int(trials), master_seed, workers, with_lam=True)
-    return _mis_from_lam(lam), lam
+    return _Job(cfg, [], trials, master_seed, with_lam=True)
 
 
 def detector_samples(plan: TrialPlan) -> np.ndarray:
@@ -385,27 +444,33 @@ def cfar_sweep(
         raise ValueError("gamma_grid and rho_grid must be nonempty")
     if not 0.0 < target_pfa < 1.0:
         raise ValueError("target_pfa must be in (0, 1)")
+    trials = _check_count(trials, "trials")
+    n_cal = trials
+    if calibration_trials is not None:
+        n_cal = _check_count(calibration_trials, "calibration_trials")
     base = scenario.as_hypothesis(base_scenario, "H0")
-    n_cal = int(calibration_trials) if calibration_trials else int(trials)
 
-    from dataclasses import replace
-
+    # job 0 calibrates; the reference cell reuses its sample
     ref_cfg = replace(base, gamma=1.0, rho=rho_grid[0])
-    cal_values, _ = _collect(ref_cfg, names, n_cal, derive_seed(seed, 0), workers)
+    jobs = [_Job(ref_cfg, names, n_cal, derive_seed(seed, 0))]
+    cell_jobs = []
+    for idx, (g, r) in enumerate(product(gamma_grid, rho_grid)):
+        if g == 1.0 and r == rho_grid[0]:
+            cell_jobs.append((g, r, 0))
+        else:
+            cfg = replace(base, gamma=g, rho=r)
+            jobs.append(_Job(cfg, names, trials, derive_seed(seed, 1 + idx)))
+            cell_jobs.append((g, r, len(jobs) - 1))
+    samples = _collect(jobs, workers)
+
     thresholds = {}
     for name in names:
-        eta, _ = _order_statistic_threshold(np.sort(cal_values[name]), target_pfa)
+        eta, _ = _order_statistic_threshold(np.sort(samples[0][0][name]), target_pfa)
         thresholds[name] = eta
 
     per_cell = {}
-    for idx, (g, r) in enumerate(product(gamma_grid, rho_grid)):
-        is_reference = g == 1.0 and r == rho_grid[0]
-        if is_reference:
-            values, n_cell = cal_values, n_cal
-        else:
-            cfg = replace(base, gamma=g, rho=r)
-            values, _ = _collect(cfg, names, int(trials), derive_seed(seed, 1 + idx), workers)
-            n_cell = int(trials)
+    for g, r, job_idx in cell_jobs:
+        values, n_cell = samples[job_idx][0], jobs[job_idx].trials
         band = binomial_band(target_pfa, n_cell)
         for name in names:
             count = int(np.count_nonzero(values[name] >= thresholds[name]))
@@ -424,7 +489,7 @@ def cfar_sweep(
         for r in rho_grid
     )
     return CfarSweepResult(
-        cells=cells, thresholds=thresholds, target_pfa=target_pfa, trials=int(trials)
+        cells=cells, thresholds=thresholds, target_pfa=target_pfa, trials=trials
     )
 
 
@@ -459,10 +524,13 @@ def ancillarity_check(
             raise ValueError(f"scenarios must match except hypothesis; {field} differs")
     if component not in (1, 2, 3):
         raise ValueError("component must be 1, 2 or 3")
-    t0, _ = mis_samples(scenario_h0, n_samples, derive_seed(seed, 0), workers)
-    t1, _ = mis_samples(scenario_h1, n_samples, derive_seed(seed, 1), workers)
-    a = t0[:, component - 1]
-    b = t1[:, component - 1]
+    jobs = [
+        _mis_job(scenario_h0, n_samples, derive_seed(seed, 0)),
+        _mis_job(scenario_h1, n_samples, derive_seed(seed, 1)),
+    ]
+    (_, lam0), (_, lam1) = _collect(jobs, workers)
+    a = _mis_from_lam(lam0)[:, component - 1]
+    b = _mis_from_lam(lam1)[:, component - 1]
     stat = float(ks_2samp(a, b).statistic)
     # 1% critical value c(alpha) sqrt((n + m) / (n m)), c = sqrt(-ln(alpha/2)/2)
     c_crit = math.sqrt(-0.5 * math.log(0.005))
@@ -496,10 +564,15 @@ def roc_curve(
         raise ValueError("pfa_grid must be nonempty")
     if any(not 0.0 < p <= 1.0 for p in pfas):
         raise ValueError("every target pfa must lie in (0, 1]")
+    trials = _check_count(trials, "trials")
     h0 = scenario.as_hypothesis(base_scenario, "H0")
     h1 = scenario.as_hypothesis(base_scenario, "H1", sinr_db=float(sinr_db))
-    v0 = np.sort(statistic_samples(h0, name, trials, derive_seed(seed, 0), workers)[name])
-    v1 = statistic_samples(h1, name, trials, derive_seed(seed, 1), workers)[name]
+    jobs = [
+        _Job(h0, [name], trials, derive_seed(seed, 0)),
+        _Job(h1, [name], trials, derive_seed(seed, 1)),
+    ]
+    (v0, _), (v1, _) = _collect(jobs, workers)
+    v0, v1 = np.sort(v0[name]), v1[name]
     points = []
     for pfa in sorted(pfas):
         eta, _ = _order_statistic_threshold(v0, pfa)

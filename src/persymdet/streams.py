@@ -23,17 +23,19 @@ def stream_rekeyer():
 
     Constructing a Philox bit generator gathers OS entropy even when a key
     is supplied, which dominates tight Monte Carlo loops. The returned
-    callable reuses one bit generator, one state dict and one key array: it
-    writes the fresh ``(master_seed, index)`` key into the array and assigns
-    the dict (which copies it into the bit generator), so a rekey builds
-    no new dict or array. The result is bit-for-bit identical to constructing
-    :func:`derive_stream` anew (pinned by tests). Not thread-safe: create
-    one rekeyer per worker chunk.
+    callable reuses one bit generator and one state dict: it writes the
+    fresh ``(master_seed, index)`` key into the dict's key list and assigns
+    the dict, which copies it into the bit generator. The dict holds Python
+    ints (tuples for the counter and buffer, a list for the key), so the
+    setter reads plain ints instead of making a NumPy scalar per word. The
+    result is bit-for-bit identical to constructing :func:`derive_stream`
+    anew (pinned by tests). Not thread-safe: create one rekeyer per worker
+    chunk.
     """
     bitgen = np.random.Philox(key=0)
     gen = np.random.Generator(bitgen)
-    zeros = np.zeros(4, dtype=np.uint64)
-    key = np.zeros(2, dtype=np.uint64)
+    zeros = (0, 0, 0, 0)
+    key = [0, 0]
     state = {
         "bit_generator": "Philox",
         "state": {"counter": zeros, "key": key},

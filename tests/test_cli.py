@@ -1,4 +1,8 @@
 import json
+import os
+
+import numpy as np
+import pytest
 
 from persymdet.cli import main
 
@@ -91,6 +95,29 @@ class TestCfar:
         assert manifest["outputs"] == [str(out)]
         assert manifest["master_seed"] == 5
 
+    def test_manifest_records_workers_and_environment(self, tmp_path):
+        cfg = _write(tmp_path / "c.json", self.CFG)
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        main(["cfar", "--config", cfg, "--out", str(a), "--seed", "5", "--workers", "1"])
+        main(["cfar", "--config", cfg, "--out", str(b), "--seed", "5", "--workers", "3"])
+        manifest = json.loads((tmp_path / "b.csv.manifest.json").read_text())
+        assert manifest["workers"] == 3
+        env = manifest["environment"]
+        assert set(env) == {"python", "numpy", "scipy", "blas", "blas_version", "cpu_count"}
+        assert env["numpy"] == np.__version__ and env["cpu_count"] == os.cpu_count()
+        assert env["blas"]
+        # how a run was executed stays out of the results
+        assert _body(a) == _body(b)
+        assert np.__version__ not in b.read_text()
+
+    @pytest.mark.parametrize("trials", [0, -5])
+    def test_nonpositive_trials_is_config_error(self, tmp_path, capsys, trials):
+        cfg = _write(tmp_path / "c.json", {**self.CFG, "trials": trials})
+        out = tmp_path / "x.csv"
+        assert main(["cfar", "--config", cfg, "--out", str(out)]) == 2
+        assert "trials must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestRoc:
     CFG = {**BASE, "trials": 2000, "pfa_grid": [0.05, 0.2], "sinr_db": 10.0,
@@ -123,6 +150,14 @@ class TestRoc:
         main(["roc", "--config", cfg, "--out", str(a), "--seed", "9", "--workers", "1"])
         main(["roc", "--config", cfg, "--out", str(b), "--seed", "9", "--workers", "2"])
         assert _body(a) == _body(b)
+
+    @pytest.mark.parametrize("trials", [0, -5])
+    def test_nonpositive_trials_is_config_error(self, tmp_path, capsys, trials):
+        cfg = _write(tmp_path / "c.json", {**self.CFG, "trials": trials})
+        out = tmp_path / "x.csv"
+        assert main(["roc", "--config", cfg, "--out", str(out)]) == 2
+        assert "trials must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestMisSample:
@@ -158,6 +193,15 @@ class TestMisSample:
         cfg = _write(tmp_path / "c.json", {"n": 2, "k": 8, "trials": 5})
         assert main(["mis-sample", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
 
+    @pytest.mark.parametrize("trials", [0, -5])
+    def test_nonpositive_trials_is_config_error(self, tmp_path, capsys, trials):
+        cfg = _write(tmp_path / "c.json", {**self.CFG, "trials": trials})
+        out = tmp_path / "x.csv"
+        assert main(["mis-sample", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "trials must be >= 1" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_too_few_secondaries_is_config_error(self, tmp_path, capsys):
         cfg = _write(tmp_path / "c.json", {"n": 8, "k": 3, "trials": 5})
         assert main(["mis-sample", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
@@ -187,3 +231,13 @@ class TestConfigHandling:
     def test_missing_required_key(self, tmp_path):
         cfg = _write(tmp_path / "c.json", {"n": 8, "k": 16})
         assert main(["cfar", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    @pytest.mark.parametrize("command", ["cfar", "roc", "mis-sample"])
+    def test_nonpositive_workers_is_config_error(self, tmp_path, capsys, command, workers):
+        cfg = _write(tmp_path / "c.json", {**BASE, "trials": 10})
+        out = tmp_path / "x.csv"
+        code = main([command, "--config", cfg, "--out", str(out), "--workers", workers])
+        assert code == 2
+        assert "--workers must be >= 1" in capsys.readouterr().err
+        assert not out.exists()

@@ -1,3 +1,8 @@
+import sys
+import threading
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -26,7 +31,7 @@ from persymdet import (
 )
 from persymdet import canonical, detectors, group, montecarlo, scenario, streams
 from persymdet import statistics as stats_module
-from persymdet.streams import derive_stream
+from persymdet.streams import derive_seed, derive_stream
 
 CFG = ScenarioConfig(n=8, k=16, rho=0.5, cnr_db=5.0, nu=0.1)
 
@@ -173,6 +178,148 @@ class TestTraceEntryPoints:
         start, count, seed = 10, 37, 3
         montecarlo._draw_batch(CFG, montecarlo._chunk_maps(CFG), start, count, seed)
         assert calls == [(seed, start + j) for j in range(count)]
+
+    def test_shared_pool_sweep_counts(self, monkeypatch):
+        # one cfar_sweep on a shared pool: one rekey per trial of each job,
+        # one _run_chunk and one _draw_batch call per chunk
+        rekeys, run_chunks, draws = [], [], []
+        real_rekeyer = streams.stream_rekeyer
+        real_run_chunk = montecarlo._run_chunk
+        real_draw = montecarlo._draw_batch
+
+        def counting_rekeyer():
+            rekey = real_rekeyer()
+
+            def counted(master_seed, index):
+                rekeys.append((master_seed, index))
+                return rekey(master_seed, index)
+
+            return counted
+
+        def run_chunk(cfg, model, names, span, master_seed, with_lam):
+            run_chunks.append((master_seed, span))
+            return real_run_chunk(cfg, model, names, span, master_seed, with_lam)
+
+        def draw(cfg, model, start, count, master_seed):
+            draws.append((master_seed, (start, start + count)))
+            return real_draw(cfg, model, start, count, master_seed)
+
+        monkeypatch.setattr(montecarlo, "stream_rekeyer", counting_rekeyer)
+        monkeypatch.setattr(montecarlo, "_run_chunk", run_chunk)
+        monkeypatch.setattr(montecarlo, "_draw_batch", draw)
+        seed, trials, n_cal = 7, 5_000, 4_500
+        cfar_sweep("glr", CFG, [0.5, 1.0], [0.0, 0.9], 0.05, trials, seed,
+                   calibration_trials=n_cal, workers=2)
+        # cell 2 is the reference (gamma = 1, first rho) and reuses job 0
+        jobs = [(derive_seed(seed, 0), n_cal)] + [
+            (derive_seed(seed, 1 + idx), trials) for idx in (0, 1, 3)
+        ]
+        expected_rekeys = Counter((s, i) for s, n in jobs for i in range(n))
+        assert Counter(rekeys) == expected_rekeys
+        chunk = montecarlo._CHUNK
+        expected_chunks = sorted(
+            (s, (a, min(a + chunk, n))) for s, n in jobs for a in range(0, n, chunk)
+        )
+        assert sorted(run_chunks) == expected_chunks
+        assert sorted(draws) == expected_chunks
+
+
+class TestSharedPool:
+    """One pool per public call keeps results independent of worker count."""
+
+    GRID = ([0.5, 1.0], [0.0, 0.9])
+    TRIALS = montecarlo._CHUNK + 904  # two chunks per sample
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_cfar_sweep(self, workers):
+        args = (["glr", "rao"], CFG, *self.GRID, 0.05, self.TRIALS, 3)
+        assert cfar_sweep(*args, workers=workers) == cfar_sweep(*args, workers=1)
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_roc_curve(self, workers):
+        args = ("wald", CFG, 8.0, [0.01, 0.1], self.TRIALS, 4)
+        assert roc_curve(*args, workers=workers) == roc_curve(*args, workers=1)
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_ancillarity_check(self, workers):
+        h1 = ScenarioConfig(n=8, k=16, rho=0.5, cnr_db=5.0, nu=0.1,
+                            hypothesis="H1", sinr_db=10.0)
+        args = (CFG, h1, self.TRIALS, 5)
+        assert ancillarity_check(*args, workers=workers) == ancillarity_check(*args, workers=1)
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_mis_samples(self, workers):
+        t1, lam1 = mis_samples(CFG, self.TRIALS, 6, workers=1)
+        t, lam = mis_samples(CFG, self.TRIALS, 6, workers=workers)
+        assert np.array_equal(t, t1) and np.array_equal(lam, lam1)
+
+    def test_concurrent_calls_share_the_draw_lock_safely(self):
+        # two user threads, each on its own pool (more threads than cores),
+        # contend for the module lock with frequent GIL switches
+        cases = [(CFG, 8), (ScenarioConfig(n=6, k=12, rho=0.9, gamma=2.0), 9)]
+        serial = [statistic_samples(c, ["glr", "rao"], 9_000, s) for c, s in cases]
+        barrier = threading.Barrier(len(cases))
+
+        def call(case):
+            barrier.wait(timeout=60)
+            return statistic_samples(case[0], ["glr", "rao"], 9_000, case[1], workers=2)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(len(cases)) as users:
+                got = list(users.map(call, cases, timeout=300))
+        finally:
+            sys.setswitchinterval(interval)
+        for ref, out in zip(serial, got):
+            for name in ref:
+                assert np.array_equal(out[name], ref[name])
+
+    def test_draw_lock_only_when_gil_bound(self, monkeypatch):
+        entered = []
+
+        class RecordingLock:
+            def __enter__(self):
+                entered.append(True)
+
+            def __exit__(self, *exc):
+                return False
+
+        monkeypatch.setattr(montecarlo, "_DRAW_LOCK", RecordingLock())
+        small = ScenarioConfig(n=8, k=16)  # 2N(K+1) = 272 normals per trial
+        large = ScenarioConfig(n=32, k=64)  # 4160
+        montecarlo._draw_batch(small, montecarlo._chunk_maps(small), 0, 3, 1)
+        assert len(entered) == 1
+        montecarlo._draw_batch(large, montecarlo._chunk_maps(large), 0, 3, 1)
+        assert len(entered) == 1
+
+
+class TestValidation:
+    H1 = ScenarioConfig(n=8, k=16, rho=0.5, cnr_db=5.0, nu=0.1, hypothesis="H1", sinr_db=10.0)
+
+    @pytest.mark.parametrize("trials", [0, -5])
+    def test_nonpositive_trials_rejected(self, trials):
+        calls = [
+            lambda: statistic_samples(CFG, "glr", trials, 1),
+            lambda: mis_samples(CFG, trials, 1),
+            lambda: cfar_sweep("glr", CFG, [1.0], [0.0], 0.1, trials, 1),
+            lambda: cfar_sweep("glr", CFG, [1.0], [0.0], 0.1, 100, 1, calibration_trials=trials),
+            lambda: roc_curve("glr", CFG, 5.0, [0.1], trials, 1),
+            lambda: ancillarity_check(CFG, self.H1, trials, 1),
+            lambda: TrialPlan(scenario=CFG, detector="glr", trials=trials, master_seed=1),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="trials must be >= 1"):
+                call()
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_nonpositive_workers_rejected(self, workers):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            statistic_samples(CFG, "glr", 10, 1, workers=workers)
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            mis_samples(CFG, 10, 1, workers=workers)
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            TrialPlan(scenario=CFG, detector="glr", trials=10, master_seed=1, workers=workers)
 
 
 class TestCalibration:
