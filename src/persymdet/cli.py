@@ -108,12 +108,22 @@ def _require(raw: dict, key: str):
     return raw[key]
 
 
+def _number(value, what: str, kind=float):
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise _ConfigError(f"{what} must be a number, not {value!r}") from None
+
+
+def _numbers(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise _ConfigError(f"{what} must be a list of numbers, not {value!r}")
+    return [_number(x, what) for x in value]
+
+
 def _trials(raw: dict, default=None) -> int:
     value = _require(raw, "trials") if default is None else raw.get("trials", default)
-    try:
-        trials = int(value)
-    except (TypeError, ValueError):
-        raise _ConfigError(f"trials must be an integer, not {value!r}") from None
+    trials = _number(value, "trials", int)
     if trials < 1:
         raise _ConfigError("trials must be >= 1")
     return trials
@@ -128,20 +138,21 @@ def _scenario_from(raw: dict, seed: int) -> ScenarioConfig:
     sinr_db = None
     hypothesis = "H0"
     if has_alpha:
-        alpha = complex(float(raw.get("alpha_re", 0.0)), float(raw.get("alpha_im", 0.0)))
+        real, imag = (_number(raw.get(key, 0.0), key) for key in ("alpha_re", "alpha_im"))
+        alpha = complex(real, imag)
         hypothesis = "H1"
     elif has_sinr:
-        sinr_db = float(raw["sinr_db"])
+        sinr_db = _number(raw["sinr_db"], "sinr_db")
         hypothesis = "H1"
     try:
         return ScenarioConfig(
-            n=int(_require(raw, "n")),
-            k=int(_require(raw, "k")),
-            rho=float(raw.get("rho", 0.0)),
-            doppler_fc=float(raw.get("doppler_fc", 0.0)),
-            cnr_db=float(raw.get("cnr_db", 0.0)),
-            gamma=float(raw.get("gamma", 1.0)),
-            nu=float(raw.get("nu", 0.0)),
+            n=_number(_require(raw, "n"), "n", int),
+            k=_number(_require(raw, "k"), "k", int),
+            rho=_number(raw.get("rho", 0.0), "rho"),
+            doppler_fc=_number(raw.get("doppler_fc", 0.0), "doppler_fc"),
+            cnr_db=_number(raw.get("cnr_db", 0.0), "cnr_db"),
+            gamma=_number(raw.get("gamma", 1.0), "gamma"),
+            nu=_number(raw.get("nu", 0.0), "nu"),
             hypothesis=hypothesis,
             alpha=alpha,
             sinr_db=sinr_db,
@@ -313,9 +324,9 @@ def cmd_cfar(config_path, out_path, seed, workers) -> int:
     raw = _load_config(config_path)
     cfg = _scenario_from(raw, seed)
     trials = _trials(raw)
-    target_pfa = float(_require(raw, "pfa"))
-    gamma_grid = list(_require(raw, "gamma_grid"))
-    rho_grid = list(_require(raw, "rho_grid"))
+    target_pfa = _number(_require(raw, "pfa"), "pfa")
+    gamma_grid = _numbers(_require(raw, "gamma_grid"), "gamma_grid")
+    rho_grid = _numbers(_require(raw, "rho_grid"), "rho_grid")
     if not gamma_grid or not rho_grid:
         raise _ConfigError("gamma_grid and rho_grid must be nonempty")
     if not 0.0 < target_pfa < 1.0:
@@ -347,14 +358,14 @@ def cmd_roc(config_path, out_path, seed, workers) -> int:
     base.pop("sinr_db", None)  # roc drives the hypothesis itself
     cfg = _scenario_from(base, seed)
     trials = _trials(raw)
-    pfa_grid = list(_require(raw, "pfa_grid"))
+    pfa_grid = _numbers(_require(raw, "pfa_grid"), "pfa_grid")
     if "sinr_grid" in raw:
-        sinr_grid = [float(x) for x in raw["sinr_grid"]]
+        sinr_grid = _numbers(raw["sinr_grid"], "sinr_grid")
     elif "sinr_db" in raw:
-        sinr_grid = [float(raw["sinr_db"])]
+        sinr_grid = [_number(raw["sinr_db"], "sinr_db")]
     else:
         raise _ConfigError("roc needs sinr_db or sinr_grid")
-    if not pfa_grid or any(not 0.0 < float(p) <= 1.0 for p in pfa_grid):
+    if not pfa_grid or any(not 0.0 < p <= 1.0 for p in pfa_grid):
         raise _ConfigError("pfa_grid values must lie in (0, 1]")
     detector = raw.get("detector", DetectorKind.GLR.value)
     rows = []

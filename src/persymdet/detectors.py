@@ -2,10 +2,11 @@
 
 Each statistic is exposed in direct form, evaluated from the quadratic-form
 pair ``(psi0, psi1)``, and (except Rao) in a form that consumes only the
-maximal invariant ``t = (t1, t2, t3)``. The two forms agree to round-off;
-tests exercise the identities explicitly. The Rao statistic is invariant as
-well but has no closed expression in ``t`` here, so only its direct form is
-provided.
+maximal invariant ``t = (t1, t2, t3)``; the two agree to round-off. The
+direct forms are one formula body on stacked arrays or floats, which the
+Monte Carlo engine and the scalar API share. The Rao statistic is invariant
+as well but has no closed expression in ``t`` here, so only its direct
+form is provided.
 """
 
 from dataclasses import dataclass
@@ -18,7 +19,8 @@ from .errors import (
     NearSingularDenominatorError,
     UnsupportedFormError,
 )
-from .statistics import MISVector, PsiPair, _gamma_hat, compute_psi, mis, scale_estimates
+from .statistics import MISVector, PsiPair, _gamma_hat, _trace_det, compute_psi, mis
+from .statistics import scale_estimates
 
 _RAO_DENOMINATOR_TOL = 1e-12
 
@@ -42,6 +44,7 @@ MIS_FORM_KINDS = frozenset({DetectorKind.GLR, DetectorKind.TWO_STEP_GLR, Detecto
 NEGATIVE_CONTROL = "trace-psi0"
 
 STATISTIC_NAMES = tuple(k.value for k in DetectorKind) + (NEGATIVE_CONTROL,)
+_GLR, _TWO_STEP, _RAO, _WALD = (kind.value for kind in DetectorKind)
 
 
 @dataclass(frozen=True)
@@ -56,45 +59,47 @@ class DetectorOutput:
     eigenvalues: tuple
 
 
-def _trace_det(psi: np.ndarray):
-    tr = psi[..., 0, 0] + psi[..., 1, 1]
-    det = psi[..., 0, 0] * psi[..., 1, 1] - psi[..., 0, 1] * psi[..., 1, 0]
-    return tr, det
-
-
-def _first_bad(mask, index_base: int) -> int:
-    return index_base + int(np.argmax(mask))
-
-
 def _batch_values(name: str, psi0, psi1, k, n, index_base: int = 0) -> np.ndarray:
-    """Vectorized detector evaluation over stacked (..., 2, 2) psi pairs.
+    """Detector values over stacked (..., 2, 2) psi pairs.
 
-    All scalar entry points funnel through here, so the Monte Carlo engine
-    and the public API share one set of formulas. ``index_base`` offsets
-    instance numbers in error messages (trial indices in long runs).
+    A thin array wrapper around :func:`_values`, the one formula body that
+    the Monte Carlo engine and the scalar public API share. ``index_base``
+    offsets instance numbers in error messages (trial indices in long runs).
     """
-    tr0, det0 = _trace_det(np.asarray(psi0, dtype=float))
-    tr1, det1 = _trace_det(np.asarray(psi1, dtype=float))
+    psi0 = np.asarray(psi0, dtype=float)
+    psi1 = np.asarray(psi1, dtype=float)
+    e0 = (psi0[..., 0, 0], psi0[..., 0, 1], psi0[..., 1, 0], psi0[..., 1, 1])
+    e1 = (psi1[..., 0, 0], psi1[..., 0, 1], psi1[..., 1, 0], psi1[..., 1, 1])
+    return _values(name, e0, e1, k, n, index_base)
+
+
+def _values(name: str, e0, e1, k, n, index_base: int = 0):
+    """Detector ``name`` from the entries ``(a, b, c, d)`` of psi0 and psi1.
+
+    One body on stacked arrays or Python floats: it uses only operators and
+    NumPy ufuncs, with squares written as products, so both round alike.
+    Every check runs before the division it guards.
+    """
+    tr0, det0 = _trace_det(*e0)
+    tr1, det1 = _trace_det(*e1)
     if name == NEGATIVE_CONTROL:
-        return np.asarray(tr0, dtype=float)
-    if name == DetectorKind.TWO_STEP_GLR.value:
-        bad = tr1 <= 0.0
-        if np.any(bad):
-            raise DegenerateStatisticError(
-                f"instance {_first_bad(bad, index_base)}: Tr[psi1] is not positive"
-            )
-        return tr0 / tr1
-    for tr, which in ((tr0, "psi0"), (tr1, "psi1")):
+        return tr0
+    positive = ((tr0, "psi0"), (tr1, "psi1"))
+    if name == _TWO_STEP:
+        positive = positive[1:]
+    for tr, which in positive:
         bad = tr <= 0.0
-        if np.any(bad):
+        if np.count_nonzero(bad):
             raise DegenerateStatisticError(
-                f"instance {_first_bad(bad, index_base)}: Tr[{which}] is not positive"
+                f"instance {index_base + int(np.argmax(bad))}: Tr[{which}] is not positive"
             )
+    if name == _TWO_STEP:
+        return tr0 / tr1
     g0, _ = _gamma_hat(tr0, det0, k, n)
     g1, _ = _gamma_hat(tr1, det1, k, n)
-    if name == DetectorKind.WALD.value:
+    if name == _WALD:
         return g1 * (tr0 - tr1)
-    if name == DetectorKind.GLR.value:
+    if name == _GLR:
         # log domain: gamma^(-N/(K+1)) spans orders of magnitude for large K;
         # det(I + g psi) - 1 = g (tr + g det) >= 0, so log1p is exact there.
         expo = -n / (k + 1.0)
@@ -104,29 +109,25 @@ def _batch_values(name: str, psi0, psi1, k, n, index_base: int = 0) -> np.ndarra
             - np.log1p(g1 * (tr1 + g1 * det1))
         )
         return np.exp(logval)
-    if name == DetectorKind.RAO.value:
-        psi0 = np.asarray(psi0, dtype=float)
-        psi1 = np.asarray(psi1, dtype=float)
-        a = np.zeros_like(psi0)
-        a[..., 0, 0] = 1.0 + g0 * psi0[..., 0, 0]
-        a[..., 0, 1] = g0 * psi0[..., 0, 1]
-        a[..., 1, 0] = g0 * psi0[..., 1, 0]
-        a[..., 1, 1] = 1.0 + g0 * psi0[..., 1, 1]
-        det_a = a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
-        inv = np.empty_like(a)
-        inv[..., 0, 0] = a[..., 1, 1]
-        inv[..., 1, 1] = a[..., 0, 0]
-        inv[..., 0, 1] = -a[..., 0, 1]
-        inv[..., 1, 0] = -a[..., 1, 0]
-        inv /= det_a[..., None, None]
-        diff = psi0 - psi1
-        tr_d_inv = np.einsum("...ij,...ji->...", diff, inv)
-        tr_d_inv2 = np.einsum("...ij,...ji->...", diff, inv @ inv)
+    if name == _RAO:
+        # g0 Tr[D A^-2] / (1 - g0 Tr[D A^-1]), D = psi0 - psi1, A = I + g0 psi0;
+        # det A = det(I + g0 psi0) >= 1 for PSD psi0
+        a, b, c, d = 1.0 + g0 * e0[0], g0 * e0[1], g0 * e0[2], 1.0 + g0 * e0[3]
+        det_a = a * d - b * c
+        i00, i01, i10, i11 = d / det_a, -b / det_a, -c / det_a, a / det_a
+        d00, d01, d10, d11 = (x0 - x1 for x0, x1 in zip(e0, e1))
+        tr_d_inv = d00 * i00 + d01 * i10 + d10 * i01 + d11 * i11
+        tr_d_inv2 = (
+            d00 * (i00 * i00 + i01 * i10)
+            + d01 * (i10 * i00 + i11 * i10)
+            + d10 * (i00 * i01 + i01 * i11)
+            + d11 * (i10 * i01 + i11 * i11)
+        )
         den = 1.0 - g0 * tr_d_inv
         bad = np.abs(den) <= _RAO_DENOMINATOR_TOL
-        if np.any(bad):
+        if np.count_nonzero(bad):
             raise NearSingularDenominatorError(
-                f"instance {_first_bad(bad, index_base)}: Rao denominator is "
+                f"instance {index_base + int(np.argmax(bad))}: Rao denominator is "
                 "numerically zero"
             )
         return g0 * tr_d_inv2 / den
@@ -134,33 +135,36 @@ def _batch_values(name: str, psi0, psi1, k, n, index_base: int = 0) -> np.ndarra
 
 
 def _scalar(name: str, psis: PsiPair, k, n) -> float:
-    return float(_batch_values(name, psis.psi0[None], psis.psi1[None], k, n)[0])
+    return float(_values(name, *psis.entries, k, n))
 
 
 def glr(psis: PsiPair, k: int, n: int) -> float:
     """Generalized likelihood ratio, evaluated internally in log domain."""
-    return _scalar(DetectorKind.GLR.value, psis, k, n)
+    return _scalar(_GLR, psis, k, n)
 
 
 def two_step_glr(psis: PsiPair) -> float:
     """Two-step GLR (Per-ACE): the trace ratio ``Tr[psi0] / Tr[psi1]``."""
-    return _scalar(DetectorKind.TWO_STEP_GLR.value, psis, None, None)
+    return _scalar(_TWO_STEP, psis, None, None)
 
 
 def rao(psis: PsiPair, k: int, n: int) -> float:
     """Rao statistic; may be negative, thresholding is still valid."""
-    return _scalar(DetectorKind.RAO.value, psis, k, n)
+    return _scalar(_RAO, psis, k, n)
 
 
 def wald(psis: PsiPair, k: int, n: int) -> float:
     """Wald statistic ``gamma1_hat (Tr[psi0] - Tr[psi1])``; nonnegative."""
-    return _scalar(DetectorKind.WALD.value, psis, k, n)
+    return _scalar(_WALD, psis, k, n)
 
 
 def _g_gamma(ratio: float, k: int, n: int) -> float:
-    # (largest eigenvalue) * (scale MLE) is invariant under common scaling of
-    # the eigenvalue pair, so it is a function of the ratio alone: evaluate
-    # the MLE on the representative pair (ratio, 1).
+    """Auxiliary function of an eigenvalue ratio ``r >= 1``.
+
+    ``g_gamma_num(t1/t2) = l1 * gamma0_hat`` and ``g_gamma_den(t3) = l3 *
+    gamma1_hat``: (largest eigenvalue) * (scale MLE) is invariant under common
+    scaling of the eigenvalue pair, so it is the MLE on the pair ``(r, 1)``.
+    """
     ratio = float(ratio)
     if ratio < 1.0 - 1e-12:
         raise ValueError(f"eigenvalue ratio must be >= 1, got {ratio!r}")
@@ -169,14 +173,7 @@ def _g_gamma(ratio: float, k: int, n: int) -> float:
     return float(ratio * g)
 
 
-def g_gamma_num(ratio: float, k: int, n: int) -> float:
-    """Auxiliary function of ``t1/t2`` equal to ``l1 * gamma0_hat``."""
-    return _g_gamma(ratio, k, n)
-
-
-def g_gamma_den(t3: float, k: int, n: int) -> float:
-    """Auxiliary function of ``t3`` equal to ``l3 * gamma1_hat``."""
-    return _g_gamma(t3, k, n)
+g_gamma_num = g_gamma_den = _g_gamma
 
 
 def mis_form(kind, t, k: int, n: int) -> float:

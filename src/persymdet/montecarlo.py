@@ -6,8 +6,8 @@ pure function of ``(plan, master_seed)`` and independent of chunking or
 worker count. Heavy linear algebra is evaluated in vectorized chunks that
 work in canonical coordinates throughout: cached real maps take each
 trial's normals straight to ``(Zp, S)``, and one batched solve against
-``S22`` gives both quadratic forms. The chunk kernels are pinned to the
-public single-trial operations by tests.
+``S22`` gives both quadratic forms. The public single-trial API runs the
+same psi kernel and detector formulas.
 
 A public call hands all of its samples (every grid cell of a CFAR sweep
 and its calibration sample, both hypotheses of an ROC curve or an
@@ -36,7 +36,7 @@ from scipy.stats import ks_2samp
 from . import detectors, scenario
 from .detectors import DetectorKind
 from .errors import DegenerateStatisticError
-from .statistics import check_support, eig2_desc
+from .statistics import _psi_batch, check_support, eig2_desc
 from .streams import derive_seed, stream_rekeyer
 
 _CHUNK = 4096  # fixed: results must not depend on worker count
@@ -193,42 +193,6 @@ def _draw_batch(cfg, model: _ChunkMaps, start: int, count: int, master_seed: int
     # rows [z1k_j | z2k_j] split into the 2K real secondaries z1k_j, z2k_j
     zs = zs.reshape(count, 2 * k, n)
     return zp.reshape(count, n, 2), np.swapaxes(zs, 1, 2) @ zs
-
-
-def _psi_batch(zp: np.ndarray, s: np.ndarray, index_base: int = 0):
-    """Quadratic forms ``(psi0, psi1)`` of stacked ``(Zp, S)``, one solve.
-
-    With ``X = S22^-1 [Z2p | s21]``: ``psi1 = Z2p' X12``, the Schur
-    complement ``c = s11 - s12 X3`` and ``u = z1p - s12 X12`` give
-    ``psi0 = psi1 + u' u / c`` (block inverse of S), so ``psi0 - psi1`` is a
-    rank-one PSD update by construction. Mirrors compute_psi() over stacked
-    trials; equivalence is asserted by tests. A singular ``S22`` or a
-    non-positive ``c`` raises :class:`DegenerateStatisticError` naming the
-    trial ``index_base + offset``.
-    """
-    z2p = zp[:, 1:, :]
-    s22 = s[:, 1:, 1:]
-    try:
-        x = np.linalg.solve(s22, np.concatenate([z2p, s[:, 1:, :1]], axis=2))
-    except np.linalg.LinAlgError:
-        # LU hit an exactly zero pivot, so that trial's determinant is zero
-        offset = int(np.argmax(np.linalg.det(s22) == 0.0))
-        raise DegenerateStatisticError(
-            f"trial {index_base + offset}: scatter block S22 is singular"
-        ) from None
-    psi1 = np.swapaxes(z2p, 1, 2) @ x[:, :, :2]
-    psi1 = 0.5 * (psi1 + np.swapaxes(psi1, 1, 2))
-    w = (s[:, :1, 1:] @ x)[:, 0, :]
-    c = s[:, 0, 0] - w[:, 2]
-    bad = ~(np.isfinite(c) & (c > 0.0))
-    if np.any(bad):
-        offset = int(np.argmax(bad))
-        raise DegenerateStatisticError(
-            f"trial {index_base + offset}: Schur complement of S22 is {c[offset]!r}"
-        )
-    u = zp[:, 0, :] - w[:, :2]
-    psi0 = psi1 + (u[:, :, None] * u[:, None, :]) / c[:, None, None]
-    return psi0, psi1
 
 
 def _run_chunk(cfg, model, names, span, master_seed, with_lam):

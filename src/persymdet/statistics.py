@@ -13,7 +13,7 @@ hypothesis.
 """
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -127,6 +127,14 @@ def assemble(data: CanonicalizedData) -> SufficientStatistic:
     return SufficientStatistic(zp=zp, s=s, k=data.k)
 
 
+def _eig2(p, b01, b10, q):
+    """:func:`eig2_desc` on entries; floats and arrays round alike."""
+    b = 0.5 * (b01 + b10)
+    tr = p + q
+    root = np.sqrt(np.maximum((p - q) * (p - q) + 4.0 * b * b, 0.0))
+    return 0.5 * (tr + root), 0.5 * (tr - root)
+
+
 def eig2_desc(a) -> tuple[np.ndarray, np.ndarray]:
     """Descending eigenvalues of symmetric 2x2 matrices, closed form.
 
@@ -137,21 +145,25 @@ def eig2_desc(a) -> tuple[np.ndarray, np.ndarray]:
     further ordering rule.
     """
     a = np.asarray(a, dtype=float)
-    p = a[..., 0, 0]
-    q = a[..., 1, 1]
-    b = 0.5 * (a[..., 0, 1] + a[..., 1, 0])
-    tr = p + q
-    root = np.sqrt(np.maximum((p - q) ** 2 + 4.0 * b * b, 0.0))
-    return 0.5 * (tr + root), 0.5 * (tr - root)
+    return _eig2(a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1])
+
+
+def _trace_det(a, b, c, d):
+    """Trace and determinant of ``[[a, b], [c, d]]``, on floats or arrays."""
+    return a + d, a * d - b * c
 
 
 @dataclass(frozen=True)
 class PsiPair:
-    """The quadratic forms ``(psi0, psi1)`` and their ordered eigenvalues."""
+    """The quadratic forms ``(psi0, psi1)`` and their ordered eigenvalues.
+
+    ``entries`` holds ``(a, b, c, d)`` of each form as Python floats.
+    """
 
     psi0: np.ndarray
     psi1: np.ndarray
     lam: tuple = None
+    entries: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         psi0 = np.array(self.psi0, dtype=float)
@@ -162,26 +174,60 @@ class PsiPair:
         psi1 = 0.5 * (psi1 + psi1.T)
         object.__setattr__(self, "psi0", _freeze(psi0))
         object.__setattr__(self, "psi1", _freeze(psi1))
-        if self.lam is None:
-            l1, l2 = eig2_desc(psi0)
-            l3, l4 = eig2_desc(psi1)
-            object.__setattr__(self, "lam", (float(l1), float(l2), float(l3), float(l4)))
-        else:
-            object.__setattr__(self, "lam", tuple(float(x) for x in self.lam))
+        e0, e1 = (tuple(m.ravel().tolist()) for m in (psi0, psi1))
+        object.__setattr__(self, "entries", (e0, e1))
+        lam = (*_eig2(*e0), *_eig2(*e1)) if self.lam is None else self.lam
+        object.__setattr__(self, "lam", tuple(float(x) for x in lam))
+
+
+def _psi_batch(zp: np.ndarray, s: np.ndarray, index_base: int = 0):
+    """Quadratic forms ``(psi0, psi1)`` of stacked ``(Zp, S)``, one solve.
+
+    The one psi kernel; compute_psi is a batch of one. With
+    ``X = S22^-1 [Z2p | s21]``: ``psi1 = Z2p' X12``, the Schur complement
+    ``c = s11 - s12 X3`` and ``u = z1p - s12 X12`` give ``psi0 = psi1 +
+    u' u / c`` (block inverse of S), so ``psi0 - psi1`` is a rank-one PSD
+    update by construction. A singular ``S22`` or a non-positive ``c`` raises
+    :class:`DegenerateStatisticError` naming the trial ``index_base + offset``.
+    """
+    z2p = zp[:, 1:, :]
+    s22 = s[:, 1:, 1:]
+    try:
+        x = np.linalg.solve(s22, np.concatenate([z2p, s[:, 1:, :1]], axis=2))
+    except np.linalg.LinAlgError:
+        # LU hit an exactly zero pivot, so that trial's determinant is zero
+        offset = int(np.argmax(np.linalg.det(s22) == 0.0))
+        raise DegenerateStatisticError(
+            f"trial {index_base + offset}: scatter block S22 is singular"
+        ) from None
+    psi1 = np.swapaxes(z2p, 1, 2) @ x[:, :, :2]
+    psi1 = 0.5 * (psi1 + np.swapaxes(psi1, 1, 2))
+    w = (s[:, :1, 1:] @ x)[:, 0, :]
+    c = s[:, 0, 0] - w[:, 2]
+    bad = ~(np.isfinite(c) & (c > 0.0))
+    if np.any(bad):
+        offset = int(np.argmax(bad))
+        raise DegenerateStatisticError(
+            f"trial {index_base + offset}: Schur complement of S22 is {c[offset]!r}"
+        )
+    u = zp[:, 0, :] - w[:, :2]
+    psi0 = psi1 + (u[:, :, None] * u[:, None, :]) / c[:, None, None]
+    return psi0, psi1
 
 
 def compute_psi(stat: SufficientStatistic, cond_limit: float = _COND_LIMIT) -> PsiPair:
-    """Quadratic forms of ``(Zp, S)`` with a conditioning guard on S, S22."""
+    """Quadratic forms of ``(Zp, S)``: :func:`_psi_batch` on a batch of one.
+
+    Raises :class:`ConditioningError` unless S is positive definite with
+    ``cond2(S) <= cond_limit``; by Cauchy interlacing, so is S22.
+    """
     if stat.n < 2:
         raise DimensionError("the block partition requires N >= 2")
-    if np.linalg.cond(stat.s) > cond_limit:
-        raise ConditioningError("scatter matrix S is too ill-conditioned")
-    s22 = stat.s22
-    if np.linalg.cond(s22) > cond_limit:
-        raise ConditioningError("scatter block S22 is too ill-conditioned")
-    psi0 = stat.zp.T @ np.linalg.solve(stat.s, stat.zp)
-    psi1 = stat.z2p.T @ np.linalg.solve(s22, stat.z2p)
-    return PsiPair(psi0=psi0, psi1=psi1)
+    ev = np.linalg.eigvalsh(stat.s)
+    if not (ev[0] > 0.0 and ev[-1] <= cond_limit * ev[0]):
+        raise ConditioningError("scatter matrix S is too ill-conditioned or not positive definite")
+    psi0, psi1 = _psi_batch(stat.zp[None], stat.s[None])
+    return PsiPair(psi0=psi0[0], psi1=psi1[0])
 
 
 @dataclass(frozen=True)
@@ -220,19 +266,18 @@ def _gamma_hat(tr, det, k: int, n: int):
     Evaluated in the cancellation-free form ``2N / (beta + (K+1-N) Tr)`` with
     ``beta = sqrt(Tr^2 (K+1-N)^2 + 4 N (2K+2-N) det)``, which is algebraically
     identical to the ratio form and tends smoothly to the analytic limit
-    ``N / ((K+1-N) Tr)`` as ``det -> 0``. Vectorized over ``tr``/``det``.
-    Returns ``(gamma_hat, beta)``.
+    ``N / ((K+1-N) Tr)`` as ``det -> 0``. Works on Python floats and on
+    arrays alike. Returns ``(gamma_hat, beta)``.
     """
     c = k + 1 - n
     if c <= 0:
         raise ValueError(f"scale estimation requires K + 1 > N (K={k}, N={n})")
     d = 2 * (k + 1) - n
-    tr = np.asarray(tr, dtype=float)
-    det = np.asarray(det, dtype=float)
-    if np.any(tr <= 0.0):
+    if np.count_nonzero(tr <= 0.0):
         raise DegenerateStatisticError("Tr[psi] must be positive for scale estimation")
-    beta = np.sqrt((c * tr) ** 2 + (4.0 * n * d) * np.maximum(det, 0.0))
-    return (2.0 * n) / (beta + c * tr), beta
+    ctr = c * tr
+    beta = np.sqrt(ctr * ctr + (4.0 * n * d) * np.maximum(det, 0.0))
+    return (2.0 * n) / (beta + ctr), beta
 
 
 @dataclass(frozen=True)
@@ -247,12 +292,9 @@ class ScaleEstimates:
 
 def scale_estimates(psis: PsiPair, k: int, n: int) -> ScaleEstimates:
     """Scale MLEs ``gamma0_hat`` (from psi0) and ``gamma1_hat`` (from psi1)."""
-    tr0 = psis.psi0[0, 0] + psis.psi0[1, 1]
-    tr1 = psis.psi1[0, 0] + psis.psi1[1, 1]
-    det0 = psis.psi0[0, 0] * psis.psi0[1, 1] - psis.psi0[0, 1] * psis.psi0[1, 0]
-    det1 = psis.psi1[0, 0] * psis.psi1[1, 1] - psis.psi1[0, 1] * psis.psi1[1, 0]
-    g0, b0 = _gamma_hat(tr0, det0, k, n)
-    g1, b1 = _gamma_hat(tr1, det1, k, n)
+    e0, e1 = psis.entries
+    g0, b0 = _gamma_hat(*_trace_det(*e0), k, n)
+    g1, b1 = _gamma_hat(*_trace_det(*e1), k, n)
     return ScaleEstimates(
         gamma0_hat=float(g0), gamma1_hat=float(g1), beta0=float(b0), beta1=float(b1)
     )

@@ -241,3 +241,35 @@ class TestConfigHandling:
         assert code == 2
         assert "--workers must be >= 1" in capsys.readouterr().err
         assert not out.exists()
+
+
+# every numeric config field of each command, and the base config it is set in
+_NUMERIC_FIELDS = {
+    "invariance-check": ({**BASE, "trials": 5}, ("n", "k", "rho", "doppler_fc",
+                          "cnr_db", "gamma", "nu", "alpha_re", "alpha_im", "trials")),
+    "cfar": (TestCfar.CFG, ("pfa", "gamma_grid", "rho_grid", "sinr_db", "n", "rho")),
+    "roc": (TestRoc.CFG, ("pfa_grid", "sinr_grid", "sinr_db", "alpha_re", "k", "gamma")),
+    "mis-sample": ({**BASE, "trials": 5}, ("alpha_re", "alpha_im", "sinr_db", "cnr_db",
+                    "nu", "trials")),
+}
+_GRIDS = {"gamma_grid", "rho_grid", "pfa_grid", "sinr_grid"}
+
+
+@pytest.mark.parametrize(
+    "command, field, value",
+    [
+        (command, field, value)
+        for command, (_, fields) in _NUMERIC_FIELDS.items()
+        for field in fields
+        for value in ((5, "abc", ["x"], [None]) if field in _GRIDS else ("abc", None, [1.0]))
+    ],
+    ids=lambda v: v if isinstance(v, str) else json.dumps(v),
+)
+def test_non_numeric_field_is_config_error(tmp_path, capsys, command, field, value):
+    base, _ = _NUMERIC_FIELDS[command]
+    cfg = _write(tmp_path / "c.json", {**base, field: value})
+    out = tmp_path / "x.out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+    assert not out.exists()

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from persymdet import (
     DegenerateStatisticError,
@@ -7,6 +9,8 @@ from persymdet import (
     DetectorKind,
     NearSingularDenominatorError,
     PsiPair,
+    ScenarioConfig,
+    SufficientStatistic,
     UnsupportedFormError,
     compute_psi,
     evaluate,
@@ -20,6 +24,8 @@ from persymdet import (
     two_step_glr,
     wald,
 )
+from persymdet import detectors, montecarlo
+from persymdet.statistics import _psi_batch
 
 K, N = 8, 4
 PSIS = PsiPair(psi0=np.diag([2.0, 1.0]), psi1=np.diag([1.5, 0.5]))
@@ -78,6 +84,7 @@ class TestRao:
         den = 1.0 - G0 * (0.5 / (1 + 2 * G0) + 0.5 / (1 + G0))
         assert rao(PSIS, K, N) == pytest.approx(num / den, rel=1e-12)
 
+    @pytest.mark.filterwarnings("error")
     def test_near_singular_denominator(self):
         # craft psi1 = psi0 - delta I so gamma0 Tr[(psi0-psi1) A^-1] = 1;
         # needs gamma0 * Tr[psi0] > 1, i.e. K < 2N - 1
@@ -90,6 +97,21 @@ class TestRao:
         assert np.trace(psi1) > 0.0
         with pytest.raises(NearSingularDenominatorError):
             rao(PsiPair(psi0=psi0, psi1=psi1), k, n)
+
+
+    def test_matches_matrix_reference(self):
+        # the entry-wise formula against inverses and traces of the 2x2 forms
+        cfg = ScenarioConfig(n=8, k=16, rho=0.9, cnr_db=10.0, nu=0.1, hypothesis="H1",
+                             sinr_db=10.0)
+        zp, s = montecarlo._draw_batch(cfg, montecarlo._chunk_maps(cfg), 0, 512, 8)
+        psi0, psi1 = _psi_batch(zp, s)
+        values = detectors._batch_values("rao", psi0, psi1, cfg.k, cfg.n)
+        for p0, p1, value in zip(psi0, psi1, values):
+            g0 = scale_estimates(PsiPair(psi0=p0, psi1=p1), cfg.k, cfg.n).gamma0_hat
+            a_inv = np.linalg.inv(np.eye(2) + g0 * p0)
+            d = p0 - p1
+            ref = g0 * np.trace(d @ a_inv @ a_inv) / (1.0 - g0 * np.trace(d @ a_inv))
+            assert value == pytest.approx(ref, rel=1e-12)
 
 
 class TestWald:
@@ -182,3 +204,84 @@ def test_evaluate_outputs(stat_factory):
     assert out_2s.gamma0_hat is None
     with pytest.raises(UnsupportedFormError):
         evaluate("rao", stat, form=DetectorForm.MIS_FORM)
+
+
+# the public scalar value of each statistic (trace-psi0 as the CLI takes it)
+SCALAR = {
+    "glr": glr,
+    "2s-glr": lambda psis, k, n: two_step_glr(psis),
+    "rao": rao,
+    "wald": wald,
+    "trace-psi0": lambda psis, k, n: float(psis.psi0[0, 0] + psis.psi0[1, 1]),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "name, which",
+    # the trace ratio checks only its denominator Tr[psi1]
+    [(name, w) for name in ("glr", "rao", "wald") for w in ("psi0", "psi1")]
+    + [("2s-glr", "psi1")],
+)
+def test_nonpositive_trace_is_typed(name, which):
+    # the batched message, and no numeric warning on the float path
+    bad = np.diag([0.5, -1.0])
+    if which == "psi0":
+        psis = PsiPair(psi0=bad, psi1=0.25 * np.eye(2))
+    else:
+        psis = PsiPair(psi0=np.eye(2), psi1=bad)
+    message = rf"instance 0: Tr\[{which}\] is not positive"
+    with pytest.raises(DegenerateStatisticError, match=message):
+        SCALAR[name](psis, K, N)
+
+
+def _assert_scalar_equals_batched(cfg, trials, seed):
+    zp, s = montecarlo._draw_batch(cfg, montecarlo._chunk_maps(cfg), 0, trials, seed)
+    stats = [SufficientStatistic(zp=z, s=m, k=cfg.k) for z, m in zip(zp, s)]
+    psi0, psi1 = _psi_batch(np.stack([x.zp for x in stats]), np.stack([x.s for x in stats]))
+    k, n = cfg.k, cfg.n
+    batched = {name: detectors._batch_values(name, psi0, psi1, k, n) for name in SCALAR}
+    for i, stat in enumerate(stats):
+        psis = compute_psi(stat)
+        assert np.array_equal(psis.psi0, psi0[i]) and np.array_equal(psis.psi1, psi1[i])
+        for name, scalar in SCALAR.items():
+            assert scalar(psis, k, n) == batched[name][i], (name, i)
+
+
+class TestScalarEqualsBatched:
+    """The scalar API runs the engine's psi kernel and formula body on floats."""
+
+    @pytest.mark.parametrize("n, k", [(8, 16), (32, 64)])
+    def test_bit_exact(self, n, k):
+        cfg = ScenarioConfig(n=n, k=k, rho=0.9, cnr_db=10.0, gamma=4.0, nu=0.1,
+                             hypothesis="H1", sinr_db=10.0)
+        _assert_scalar_equals_batched(cfg, 64, 3)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n=st.integers(3, 12),
+        data=st.data(),
+        rho=st.floats(0.0, 0.99),
+        log_gamma=st.floats(-3.0, 3.0),
+        nu=st.floats(-0.5, 0.5, exclude_max=True),
+        h1=st.booleans(),
+        seed=st.integers(0, 2**63),
+    )
+    def test_property(self, n, data, rho, log_gamma, nu, h1, seed):
+        k = data.draw(st.integers(2 * n, 4 * n), label="k")
+        cfg = ScenarioConfig(
+            n=n, k=k, rho=rho, cnr_db=10.0, gamma=10.0**log_gamma, nu=nu,
+            hypothesis="H1" if h1 else "H0", sinr_db=10.0 if h1 else None,
+        )
+        _assert_scalar_equals_batched(cfg, 8, seed)
+
+    def test_order_exact_when_rank_one_term_vanishes(self):
+        # z1p = s12 S22^-1 Z2p makes psi0 = psi1 up to round-off, where a
+        # difference of separately rounded traces would go either way
+        cfg = ScenarioConfig(n=8, k=16, gamma=0.25, cnr_db=10.0, nu=0.1)
+        zp, s = montecarlo._draw_batch(cfg, montecarlo._chunk_maps(cfg), 0, 512, 5)
+        zp[:, 0, :] = (s[:, :1, 1:] @ np.linalg.solve(s[:, 1:, 1:], zp[:, 1:, :]))[:, 0, :]
+        for z, m in zip(zp, s):
+            psis = compute_psi(SufficientStatistic(zp=z, s=m, k=cfg.k))
+            assert psis.psi0[0, 0] + psis.psi0[1, 1] >= psis.psi1[0, 0] + psis.psi1[1, 1]
+            assert wald(psis, cfg.k, cfg.n) >= 0.0

@@ -18,6 +18,7 @@ from persymdet import (
     mis,
     sample_group_element,
 )
+from persymdet import group
 
 
 def _close_element(a, b, tol=1e-10):
@@ -47,6 +48,28 @@ class TestSampling:
         for _ in range(20):
             e = sample_group_element(6, rng, max_condition=50.0)
             assert np.linalg.cond(e.g) <= 50.0
+
+    @pytest.mark.filterwarnings("error")
+    def test_condition_number_is_numpy_cond(self, rng):
+        twin = rng.standard_normal((7, 7))
+        twin[3] = twin[5]
+        mats = [rng.standard_normal((8, 8)) for _ in range(50)]
+        mats += [rng.standard_normal((7, 7)) for _ in range(50)]
+        mats += [twin, np.diag([1.0, 2.0, 0.0]), np.zeros((3, 3))]
+        for m in mats:
+            assert group._cond(m) == np.linalg.cond(m)
+        assert group._cond(np.diag([1.0, 2.0, 0.0])) == np.inf
+
+    def test_sampler_stream_as_with_numpy_cond(self, monkeypatch):
+        # the same candidates are accepted, so the stream is consumed alike
+        def draw():
+            gen = np.random.default_rng(9)
+            return [sample_group_element(8, gen, max_condition=1e2) for _ in range(20)]
+
+        ours = draw()
+        monkeypatch.setattr(group, "_cond", np.linalg.cond)
+        for a, b in zip(ours, draw()):
+            assert np.array_equal(a.g, b.g) and np.array_equal(a.u, b.u) and a.phi == b.phi
 
     def test_structure_validation(self):
         g = np.eye(3)

@@ -224,6 +224,38 @@ class TestTraceEntryPoints:
         assert sorted(draws) == expected_chunks
 
 
+    def test_one_psi_and_one_detector_call_per_chunk(self, monkeypatch):
+        # the traced benchmark times psi as montecarlo._psi_batch and each
+        # statistic as detectors._batch_values inside every _run_chunk
+        local, calls = threading.local(), []
+        real_run_chunk = montecarlo._run_chunk
+        real_psi = montecarlo._psi_batch
+        real_values = detectors._batch_values
+
+        def run_chunk(*args):
+            local.calls = []
+            result = real_run_chunk(*args)
+            calls.append(local.calls)
+            return result
+
+        def psi(*args, **kwargs):
+            local.calls.append("psi")
+            return real_psi(*args, **kwargs)
+
+        def values(name, *args, **kwargs):
+            local.calls.append(name)
+            return real_values(name, *args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "_run_chunk", run_chunk)
+        monkeypatch.setattr(montecarlo, "_psi_batch", psi)
+        monkeypatch.setattr(detectors, "_batch_values", values)
+        names = list(detectors.STATISTIC_NAMES)
+        cfar_sweep(names, CFG, [0.5, 1.0], [0.0, 0.9], 0.05, 5_000, 7,
+                   calibration_trials=4_500, workers=2)
+        assert len(calls) == 4 * 2  # calibration and three cells, two chunks each
+        assert all(sorted(c) == sorted(["psi"] + names) for c in calls)
+
+
 class TestSharedPool:
     """One pool per public call keeps results independent of worker count."""
 

@@ -19,7 +19,7 @@ from persymdet import (
     scale_estimates,
     steering,
 )
-from persymdet.statistics import _gamma_hat
+from persymdet.statistics import _gamma_hat, _psi_batch
 from persymdet.streams import derive_stream
 
 
@@ -109,6 +109,21 @@ class TestComputePsi:
         stat = SufficientStatistic(zp=np.ones((4, 2)), s=s, k=8)
         with pytest.raises(ConditioningError):
             compute_psi(stat)
+
+    @pytest.mark.parametrize("spectrum", [(3.0, 2.0, 1.0, -1.0), (-1.0, -2.0, -1.0, -3.0)])
+    def test_indefinite_rejected(self, spectrum):
+        # well conditioned in the 2-norm, but not a scatter matrix
+        q, _ = np.linalg.qr(np.random.default_rng(4).standard_normal((4, 4)))
+        stat = SufficientStatistic(zp=np.ones((4, 2)), s=q @ np.diag(spectrum) @ q.T, k=8)
+        with pytest.raises(ConditioningError, match="positive definite"):
+            compute_psi(stat)
+
+    def test_is_engine_kernel_on_batch_of_one(self, stat_factory):
+        for seed in range(30):
+            stat = stat_factory(seed, n=(8, 32, 5)[seed % 3], k=(16, 64, 10)[seed % 3])
+            psis = compute_psi(stat)
+            psi0, psi1 = _psi_batch(stat.zp[None], stat.s[None])
+            assert np.array_equal(psis.psi0, psi0[0]) and np.array_equal(psis.psi1, psi1[0])
 
 
 class TestEig2:
