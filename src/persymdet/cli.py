@@ -20,7 +20,6 @@ import time
 from dataclasses import asdict, dataclass
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .canonical import build_transform, canonicalize
@@ -108,9 +107,9 @@ def _require(raw: dict, key: str):
     return raw[key]
 
 
-def _number(value, what: str, kind=float):
+def _number(value, what: str) -> float:
     try:
-        return kind(value)
+        return float(value)
     except (TypeError, ValueError):
         raise _ConfigError(f"{what} must be a number, not {value!r}") from None
 
@@ -121,9 +120,19 @@ def _numbers(value, what: str) -> list:
     return [_number(x, what) for x in value]
 
 
+def _integer(value, what: str) -> int:
+    """``value`` as an int; a number with a fractional part is a config error."""
+    if isinstance(value, int):
+        return value
+    number = _number(value, what)
+    if not number.is_integer():
+        raise _ConfigError(f"{what} must be an integer, not {value!r}")
+    return int(number)
+
+
 def _trials(raw: dict, default=None) -> int:
     value = _require(raw, "trials") if default is None else raw.get("trials", default)
-    trials = _number(value, "trials", int)
+    trials = _integer(value, "trials")
     if trials < 1:
         raise _ConfigError("trials must be >= 1")
     return trials
@@ -146,8 +155,8 @@ def _scenario_from(raw: dict, seed: int) -> ScenarioConfig:
         hypothesis = "H1"
     try:
         return ScenarioConfig(
-            n=_number(_require(raw, "n"), "n", int),
-            k=_number(_require(raw, "k"), "k", int),
+            n=_integer(_require(raw, "n"), "n"),
+            k=_integer(_require(raw, "k"), "k"),
             rho=_number(raw.get("rho", 0.0), "rho"),
             doppler_fc=_number(raw.get("doppler_fc", 0.0), "doppler_fc"),
             cnr_db=_number(raw.get("cnr_db", 0.0), "cnr_db"),
@@ -178,6 +187,8 @@ def _write_csv(path: str, header: str, rows) -> None:
 
 
 def _environment() -> dict:
+    import scipy  # only for its version; kept off the import path
+
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {
         "python": platform.python_version(),

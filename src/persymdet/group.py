@@ -60,6 +60,15 @@ class GroupElement:
         return self.g.shape[0]
 
 
+def _built(g: np.ndarray, u: np.ndarray, phi: float) -> GroupElement:
+    """An element whose checks already hold by construction; only freezes."""
+    elem = object.__new__(GroupElement)
+    object.__setattr__(elem, "g", _freeze(g))
+    object.__setattr__(elem, "u", _freeze(u))
+    object.__setattr__(elem, "phi", phi)
+    return elem
+
+
 def identity_element(n: int) -> GroupElement:
     return GroupElement(g=np.eye(n), u=np.eye(2), phi=1.0)
 
@@ -89,6 +98,9 @@ def sample_group_element(
         raise ValueError("spread must be positive")
     if n < 2:
         raise DimensionError("group elements require n >= 2")
+    if not max_condition < np.inf:
+        # a finite cap is what keeps G22 invertible
+        raise ValueError("max_condition must be finite")
     for _ in range(_SAMPLING_ATTEMPTS):
         g = np.zeros((n, n))
         g[0, 0] = spread * rng.standard_normal()
@@ -109,7 +121,9 @@ def sample_group_element(
     if rng.random() < 0.5:
         u = u @ np.diag([1.0, -1.0])
     phi = float(np.exp(rng.uniform(np.log(1e-2 * spread), np.log(1e2 * spread))))
-    return GroupElement(g=g, u=u, phi=phi)
+    # the zeros below g11, g11 != 0 and an invertible G22 (cond <= cap) hold
+    # from the loop; U is a rotation or a reflection and phi = exp(.) > 0
+    return _built(g, u, phi)
 
 
 def compose(a: GroupElement, b: GroupElement) -> GroupElement:

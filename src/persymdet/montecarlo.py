@@ -18,6 +18,9 @@ normal fill, which releases it. When a trial draws few normals the two take
 about equally long, so concurrent draw loops would only trade the GIL on
 every trial; such loops take turns on one module lock, and the workers that
 wait for it sleep while the others run the GEMM, solve and detector stages.
+Larger trials are drawn and mapped in blocks of at most ``_DRAW_BLOCK``
+normals, so a chunk's draw holds its ``(count, N, N)`` scatter and a few
+block-sized buffers, however many normals its trials draw.
 """
 
 import math
@@ -31,7 +34,6 @@ from itertools import product
 from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
-from scipy.stats import ks_2samp
 
 from . import detectors, scenario
 from .detectors import DetectorKind
@@ -40,6 +42,8 @@ from .statistics import _psi_batch, check_support, eig2_desc
 from .streams import derive_seed, stream_rekeyer
 
 _CHUNK = 4096  # fixed: results must not depend on worker count
+# Normals per draw block (8 MB) of a chunk that is not bound by the GIL.
+_DRAW_BLOCK = 1 << 20
 # Draw loops whose trials draw fewer normals than this, 2N(K+1), are bound
 # by the GIL and run one at a time (N=8, K=16 draws 272; N=32, K=64 4160).
 _GIL_BOUND_NORMALS = 1024
@@ -171,28 +175,41 @@ def _draw_batch(cfg, model: _ChunkMaps, start: int, count: int, master_seed: int
     :func:`persymdet.scenario.sample_dataset` (primary real/imag parts, then
     secondary real/imag parts), buffered into one normal draw per trial, and
     maps the buffer straight to canonical coordinates with the real maps of
-    ``model``. The per-trial loop holds ``_DRAW_LOCK`` when a trial draws
-    fewer than ``_GIL_BOUND_NORMALS`` normals (see the module docstring).
+    ``model``. A trial that draws fewer than ``_GIL_BOUND_NORMALS`` normals
+    is GIL-bound: the whole chunk is one block, filled under one hold of
+    ``_DRAW_LOCK`` (see the module docstring). Otherwise the trials are
+    filled and mapped to their scatters in blocks of ``_DRAW_BLOCK`` normals
+    through one reused buffer. Either way the primaries are mapped by one
+    GEMM after the loop, so the result does not depend on the block size.
     Returns ``zp`` of shape ``(count, N, 2)`` and the scatter
     ``s`` of shape ``(count, N, N)``; tests pin both to
     ``assemble(canonicalize(sample_dataset(...)))``.
     """
     n, k = cfg.n, cfg.k
     kn = k * n
-    buf = np.empty((count, 2 * n + 2 * kn))
+    width = 2 * n + 2 * kn
+    gil_bound = width < _GIL_BOUND_NORMALS
+    block = count if gil_bound else max(1, min(count, _DRAW_BLOCK // width))
+    buf = np.empty((block, width))
+    prim = np.empty((count, 2 * n))
+    s = np.empty((count, n, n))
     rekey = stream_rekeyer()
-    gil_bound = buf.shape[1] < _GIL_BOUND_NORMALS
-    with _DRAW_LOCK if gil_bound else nullcontext():
-        for j in range(count):
-            rekey(master_seed, start + j).standard_normal(out=buf[j])
-    zp = buf[:, : 2 * n] @ model.prim
+    for a in range(0, count, block):
+        blk = buf[: min(block, count - a)]
+        m = blk.shape[0]
+        with _DRAW_LOCK if gil_bound else nullcontext():
+            for j in range(m):
+                rekey(master_seed, start + a + j).standard_normal(out=blk[j])
+        prim[a : a + m] = blk[:, : 2 * n]
+        zs = blk[:, 2 * n : 2 * n + kn].reshape(m, k, n) @ model.sec_re
+        zs += blk[:, 2 * n + kn :].reshape(m, k, n) @ model.sec_im
+        # rows [z1k_j | z2k_j] split into the 2K real secondaries z1k_j, z2k_j
+        zs = zs.reshape(m, 2 * k, n)
+        np.matmul(np.swapaxes(zs, 1, 2), zs, out=s[a : a + m])
+    zp = prim @ model.prim
     if cfg.hypothesis == "H1":
         zp += model.prim_mean
-    zs = buf[:, 2 * n : 2 * n + kn].reshape(count, k, n) @ model.sec_re
-    zs += buf[:, 2 * n + kn :].reshape(count, k, n) @ model.sec_im
-    # rows [z1k_j | z2k_j] split into the 2K real secondaries z1k_j, z2k_j
-    zs = zs.reshape(count, 2 * k, n)
-    return zp.reshape(count, n, 2), np.swapaxes(zs, 1, 2) @ zs
+    return zp.reshape(count, n, 2), s
 
 
 def _run_chunk(cfg, model, names, span, master_seed, with_lam):
@@ -495,6 +512,8 @@ def ancillarity_check(
     (_, lam0), (_, lam1) = _collect(jobs, workers)
     a = _mis_from_lam(lam0)[:, component - 1]
     b = _mis_from_lam(lam1)[:, component - 1]
+    from scipy.stats import ks_2samp  # deferred: scipy.stats is slow to import
+
     stat = float(ks_2samp(a, b).statistic)
     # 1% critical value c(alpha) sqrt((n + m) / (n m)), c = sqrt(-ln(alpha/2)/2)
     c_crit = math.sqrt(-0.5 * math.log(0.005))

@@ -14,7 +14,6 @@ from functools import lru_cache
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.linalg import toeplitz
 
 from .canonical import (
     CanonicalTransform,
@@ -51,8 +50,11 @@ def covariance_model(
         raise ValueError(f"one-lag correlation must be in [0, 1), got {rho}")
     lags = np.arange(int(n))
     col = rho**lags * np.exp(2j * np.pi * doppler_fc * lags)
+    # Hermitian Toeplitz: entry (i, j) is col[i - j] on and below the
+    # diagonal and conj(col[j - i]) above it, as scipy.linalg.toeplitz
+    vals = np.concatenate((col[:0:-1].conj(), col))
     sigma_c2 = 10.0 ** (cnr_db / 10.0)
-    m = sigma_c2 * toeplitz(col, col.conj()) + np.eye(int(n))
+    m = sigma_c2 * vals[lags[:, None] - lags + (int(n) - 1)] + np.eye(int(n))
     return PersymmetricCovariance(m)
 
 

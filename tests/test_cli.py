@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -253,6 +255,15 @@ _NUMERIC_FIELDS = {
                     "nu", "trials")),
 }
 _GRIDS = {"gamma_grid", "rho_grid", "pfa_grid", "sinr_grid"}
+_COUNTS = {"n", "k", "trials"}
+
+
+def _bad_values(field):
+    if field in _GRIDS:
+        return (5, "abc", ["x"], [None])
+    if field in _COUNTS:
+        return ("abc", None, [1.0], 8.7, "8.5")
+    return ("abc", None, [1.0])
 
 
 @pytest.mark.parametrize(
@@ -261,7 +272,7 @@ _GRIDS = {"gamma_grid", "rho_grid", "pfa_grid", "sinr_grid"}
         (command, field, value)
         for command, (_, fields) in _NUMERIC_FIELDS.items()
         for field in fields
-        for value in ((5, "abc", ["x"], [None]) if field in _GRIDS else ("abc", None, [1.0]))
+        for value in _bad_values(field)
     ],
     ids=lambda v: v if isinstance(v, str) else json.dumps(v),
 )
@@ -273,3 +284,18 @@ def test_non_numeric_field_is_config_error(tmp_path, capsys, command, field, val
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "Traceback" not in err
     assert not out.exists()
+
+
+def test_import_leaves_scipy_stats_and_linalg_unloaded():
+    # both take most of the start-up time; only the calls that need them load them
+    import persymdet
+
+    src = os.path.dirname(os.path.dirname(persymdet.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys, persymdet, persymdet.cli; "
+        "print([m for m in ('scipy.stats', 'scipy.linalg') if m in sys.modules])"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, check=True)
+    assert done.stdout.strip() == "[]"

@@ -71,6 +71,21 @@ class TestSampling:
         for a, b in zip(ours, draw()):
             assert np.array_equal(a.g, b.g) and np.array_equal(a.u, b.u) and a.phi == b.phi
 
+    def test_sampled_elements_pass_public_checks(self, rng):
+        # the sampler skips the constructor's checks; each must still hold
+        for i in range(400):
+            n, spread = 2 + i % 9, 10.0 ** (i % 5 - 2)
+            e = sample_group_element(n, rng, spread=spread, max_condition=(1e2, 1e8)[i % 2])
+            checked = GroupElement(e.g, e.u, e.phi)
+            assert np.array_equal(checked.g, e.g) and np.array_equal(checked.u, e.u)
+            assert checked.phi == e.phi and type(e.phi) is float
+            assert not e.g.flags.writeable and not e.u.flags.writeable
+
+    @pytest.mark.parametrize("cap", [np.inf, np.nan])
+    def test_unbounded_condition_cap_rejected(self, rng, cap):
+        with pytest.raises(ValueError, match="finite"):
+            sample_group_element(4, rng, max_condition=cap)
+
     def test_structure_validation(self):
         g = np.eye(3)
         g[2, 0] = 0.5

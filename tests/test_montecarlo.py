@@ -324,6 +324,9 @@ class TestSharedPool:
         assert len(entered) == 1
         montecarlo._draw_batch(large, montecarlo._chunk_maps(large), 0, 3, 1)
         assert len(entered) == 1
+        # a full GIL-bound chunk stays one block under one hold of the lock
+        montecarlo._draw_batch(small, montecarlo._chunk_maps(small), 0, montecarlo._CHUNK, 1)
+        assert len(entered) == 2
 
 
 class TestValidation:

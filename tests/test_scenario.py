@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from persymdet import (
+    PersymmetricCovariance,
     ScenarioConfig,
     alpha_for_sinr,
     as_hypothesis,
@@ -30,14 +31,28 @@ class TestSteering:
         assert np.max(np.abs(sv.entries - j @ sv.entries.conj())) < 1e-12
 
 
+_CLUTTER = [(0.0, 0.0, 0.0), (0.5, 0.2, 5.0), (0.99, -0.3, 20.0), (0.3, -0.5, -3.0),
+            (0.9, 0.45, 30.0)]
+
+
 class TestCovarianceModel:
     def test_white_case(self):
         m0 = covariance_model(4, 0.0, 0.0, 0.0)
         assert np.allclose(m0.entries, 2.0 * np.eye(4))
 
-    @pytest.mark.parametrize("rho,fc,cnr", [(0.0, 0.0, 0.0), (0.5, 0.2, 5.0), (0.99, -0.3, 20.0)])
+    @pytest.mark.parametrize("rho,fc,cnr", _CLUTTER)
     def test_always_persymmetric(self, rho, fc, cnr):
         assert is_persymmetric(covariance_model(8, rho, fc, cnr).entries, tol=1e-10)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 8, 32])
+    @pytest.mark.parametrize("rho,fc,cnr", _CLUTTER)
+    def test_matches_scipy_toeplitz(self, n, rho, fc, cnr):
+        from scipy.linalg import toeplitz
+
+        lags = np.arange(n)
+        col = rho**lags * np.exp(2j * np.pi * fc * lags)
+        ref = PersymmetricCovariance(10.0 ** (cnr / 10.0) * toeplitz(col, col.conj()) + np.eye(n))
+        assert covariance_model(n, rho, fc, cnr).entries.tobytes() == ref.entries.tobytes()
 
     def test_noise_floor(self):
         m0 = covariance_model(8, 0.99, 0.1, 15.0)

@@ -49,11 +49,18 @@ class TestDrawBatch:
         ScenarioConfig(n=7, k=15, rho=0.99, cnr_db=10.0, nu=0.15, gamma=0.25,
                        hypothesis="H1", alpha=0.4 - 0.9j),
         ScenarioConfig(n=5, k=10, rho=0.3, doppler_fc=-0.25),
+        ScenarioConfig(n=32, k=64, rho=0.9, cnr_db=10.0, nu=0.1, gamma=2.0,
+                       hypothesis="H1", sinr_db=10.0),
     )
 
     @pytest.mark.parametrize("cfg", CASES, ids=lambda c: f"n{c.n}-{c.hypothesis}")
     def test_matches_public_canonical_path(self, cfg):
         seed, start, count = 99, 4_000_000_123, 6
+        width = 2 * cfg.n * (cfg.k + 1)
+        if width >= montecarlo._GIL_BOUND_NORMALS:
+            # drawn in blocks: span several and end in a ragged one
+            block = montecarlo._DRAW_BLOCK // width
+            count = 2 * block + block // 2
         zp, s = montecarlo._draw_batch(cfg, montecarlo._chunk_maps(cfg), start, count, seed)
         assert zp.shape == (count, cfg.n, 2) and s.shape == (count, cfg.n, cfg.n)
         xf = build_transform(steering(cfg.n, cfg.nu))
