@@ -104,25 +104,20 @@ class CanonicalTransform:
 
     t: np.ndarray
     v: np.ndarray
-    j: np.ndarray
 
     def __post_init__(self):
         t = np.array(self.t, dtype=complex)
         v = np.array(self.v, dtype=float)
-        j = np.array(self.j, dtype=float)
         n = t.shape[0]
         eye = np.eye(n)
-        if t.shape != (n, n) or v.shape != (n, n) or j.shape != (n, n):
-            raise DimensionError("T, V, J must be square matrices of equal order")
+        if t.shape != (n, n) or v.shape != (n, n):
+            raise DimensionError("T and V must be square matrices of equal order")
         if np.linalg.norm(t @ t.conj().T - eye) > 1e-12 * n:
             raise ModelError("T is not unitary")
         if np.linalg.norm(v @ v.T - eye) > 1e-12 * n:
             raise ModelError("V is not orthogonal")
-        if not np.array_equal(j @ j, eye):
-            raise ModelError("J is not an involutory permutation")
         object.__setattr__(self, "t", _freeze(t))
         object.__setattr__(self, "v", _freeze(v))
-        object.__setattr__(self, "j", _freeze(j))
 
     @property
     def n(self) -> int:
@@ -219,7 +214,7 @@ def build_transform(s) -> CanonicalTransform:
     if np.max(np.abs(x.imag)) > _REALNESS_TOL:
         raise ModelError("T s is not real: steering vector violates persymmetry")
     v = _rotation_to_e1(x.real)
-    return CanonicalTransform(t, v, exchange_matrix(sv.n))
+    return CanonicalTransform(t, v)
 
 
 def canonicalize(r, rk, transform: CanonicalTransform) -> CanonicalizedData:

@@ -23,12 +23,7 @@ import numpy as np
 
 from . import __version__
 from .canonical import build_transform, canonicalize
-from .detectors import (
-    NEGATIVE_CONTROL,
-    DetectorKind,
-    mis_form,
-    evaluate,
-)
+from .detectors import NEGATIVE_CONTROL, DetectorKind, _scalar, mis_form
 from .errors import PersymError
 from .group import factorization_deviation, invariance_report, sample_group_element
 from .montecarlo import cfar_sweep, mis_samples, roc_curve
@@ -130,6 +125,16 @@ def _integer(value, what: str) -> int:
     return int(number)
 
 
+def _detectors(raw: dict, default, many: bool):
+    """The config's ``detector``: a name, or with ``many`` a nonempty list of names."""
+    value = raw.get("detector", default)
+    names = value if many and isinstance(value, list) and value else [value]
+    if not all(isinstance(name, str) for name in names):
+        expected = "a string or a nonempty list of strings" if many else "a string"
+        raise _ConfigError(f"detector must be {expected}, not {value!r}")
+    return value
+
+
 def _trials(raw: dict, default=None) -> int:
     value = _require(raw, "trials") if default is None else raw.get("trials", default)
     trials = _integer(value, "trials")
@@ -216,59 +221,51 @@ def _write_manifest(out_path, command, config, seed, workers, outputs, started) 
         fh.write("\n")
 
 
-def _suite_statistics(cfg: ScenarioConfig, seed: int, count: int):
+def _run_invariance_suites(cfg: ScenarioConfig, seed: int, n_stats: int, debug: bool):
+    """Run the five verification suites; returns [(name, deviation, tol)].
+
+    Elements are drawn suite by suite, then statistic by statistic; the
+    factorization suite draws last.
+    """
     xf = build_transform(steering(cfg.n, cfg.nu))
     stats = []
-    for i in range(count):
+    for i in range(n_stats):
         ds = sample_dataset(cfg, derive_stream(seed, 1 + i))
         stats.append(assemble(canonicalize(ds.r, ds.rk, xf)))
-    return stats
-
-
-def _run_invariance_suites(cfg: ScenarioConfig, seed: int, n_stats: int, debug: bool):
-    """Run the five verification suites; returns [(name, deviation, tol)]."""
-    stats = _suite_statistics(cfg, seed, n_stats)
     rng = derive_stream(seed, 0)
-    results = []
 
-    def mis_value(stat):
-        return mis(compute_psi(stat)).as_array()
-
-    dev = max(
-        invariance_report(
-            s, mis_value, _ELEMENTS_PER_STATISTIC, rng, max_condition=_SUITE_MAX_CONDITION
-        )
-        for s in stats
-    )
-    results.append(("mis-invariance", dev, _MIS_INVARIANCE_TOL))
-
+    suites = {"mis-invariance": (lambda s: mis(compute_psi(s)).as_array(), _MIS_INVARIANCE_TOL)}
     checks = dict(_DETECTOR_TOLERANCES)
     if debug:
         checks[NEGATIVE_CONTROL] = 1e-8
     for name, tol in checks.items():
-        if name == NEGATIVE_CONTROL:
-            def value_fn(stat):
-                psis = compute_psi(stat)
-                return psis.psi0[0, 0] + psis.psi0[1, 1]
-        else:
-            def value_fn(stat, _kind=DetectorKind(name)):
-                return evaluate(_kind, stat).value
+        fn = lambda s, _name=name: _scalar(_name, compute_psi(s), s.k, s.n)
+        suites[f"detector-invariance[{name}]"] = (fn, tol)
+    results = []
+    for suite, (fn, tol) in suites.items():
         dev = max(
             invariance_report(
-                s, value_fn, _ELEMENTS_PER_STATISTIC, rng, max_condition=_SUITE_MAX_CONDITION
+                s, fn, _ELEMENTS_PER_STATISTIC, rng, max_condition=_SUITE_MAX_CONDITION
             )
             for s in stats
         )
-        results.append((f"detector-invariance[{name}]", dev, tol))
+        results.append((suite, dev, tol))
 
     worst = {name: 0.0 for name in _IDENTITY_TOLERANCES}
+    interlacing = 0.0
     for stat in stats:
         psis = compute_psi(stat)
         t = mis(psis)
         for name in worst:
-            direct = evaluate(DetectorKind(name), stat).value
-            via_t = mis_form(DetectorKind(name), t, stat.k, stat.n)
+            direct = _scalar(name, psis, stat.k, stat.n)
+            via_t = mis_form(name, t, stat.k, stat.n)
             worst[name] = max(worst[name], abs(via_t - direct) / max(abs(direct), 1e-300))
+        violation = max(t.t3 - t.t1, t.t2 - t.t3, 1.0 - t.t2, 0.0)
+        diff = psis.psi0 - psis.psi1
+        mu = np.linalg.eigvalsh(diff)
+        scale = max(1.0, abs(mu[1]))
+        violation = max(violation, abs(mu[0]) / scale)
+        interlacing = max(interlacing, violation)
     for name, tol in _IDENTITY_TOLERANCES.items():
         results.append((f"form-identity[{name}]", worst[name], tol))
 
@@ -277,18 +274,7 @@ def _run_invariance_suites(cfg: ScenarioConfig, seed: int, n_stats: int, debug: 
         elem = sample_group_element(stat.n, rng, max_condition=_SUITE_MAX_CONDITION)
         dev = max(dev, factorization_deviation(elem, stat))
     results.append(("subaction-factorization", dev, _FACTORIZATION_TOL))
-
-    dev = 0.0
-    for stat in stats:
-        psis = compute_psi(stat)
-        t = mis(psis)
-        violation = max(t.t3 - t.t1, t.t2 - t.t3, 1.0 - t.t2, 0.0)
-        diff = psis.psi0 - psis.psi1
-        mu = np.linalg.eigvalsh(diff)
-        scale = max(1.0, abs(mu[1]))
-        violation = max(violation, abs(mu[0]) / scale)
-        dev = max(dev, violation)
-    results.append(("interlacing", dev, _INTERLACING_SLACK))
+    results.append(("interlacing", interlacing, _INTERLACING_SLACK))
     return results
 
 
@@ -302,7 +288,9 @@ def cmd_invariance_check(config_path, out_path, seed, workers) -> int:
             "vanishes identically for n = 2)"
         )
     n_stats = _trials(raw, default=100)
-    debug = bool(raw.get("debug_noninvariant", False))
+    debug = raw.get("debug_noninvariant", False)
+    if not isinstance(debug, bool):
+        raise _ConfigError(f"debug_noninvariant must be true or false, not {debug!r}")
     results = _run_invariance_suites(cfg, seed, n_stats, debug)
     all_pass = True
     for name, dev, tol in results:
@@ -338,11 +326,7 @@ def cmd_cfar(config_path, out_path, seed, workers) -> int:
     target_pfa = _number(_require(raw, "pfa"), "pfa")
     gamma_grid = _numbers(_require(raw, "gamma_grid"), "gamma_grid")
     rho_grid = _numbers(_require(raw, "rho_grid"), "rho_grid")
-    if not gamma_grid or not rho_grid:
-        raise _ConfigError("gamma_grid and rho_grid must be nonempty")
-    if not 0.0 < target_pfa < 1.0:
-        raise _ConfigError("pfa must be in (0, 1)")
-    detector = raw.get("detector", [k.value for k in DetectorKind])
+    detector = _detectors(raw, [k.value for k in DetectorKind], many=True)
     try:
         result = cfar_sweep(
             detector, cfg, gamma_grid, rho_grid, target_pfa, trials, seed, workers=workers
@@ -378,7 +362,7 @@ def cmd_roc(config_path, out_path, seed, workers) -> int:
         raise _ConfigError("roc needs sinr_db or sinr_grid")
     if not pfa_grid or any(not 0.0 < p <= 1.0 for p in pfa_grid):
         raise _ConfigError("pfa_grid values must lie in (0, 1]")
-    detector = raw.get("detector", DetectorKind.GLR.value)
+    detector = _detectors(raw, DetectorKind.GLR.value, many=False)
     rows = []
     try:
         for i, sinr_db in enumerate(sinr_grid):
@@ -386,9 +370,8 @@ def cmd_roc(config_path, out_path, seed, workers) -> int:
                 detector, cfg, sinr_db, pfa_grid, trials, derive_seed(seed, i),
                 workers=workers,
             )
-            name = detector if isinstance(detector, str) else detector.value
             rows.extend(
-                (name, sinr_db, p.pfa, p.pd.point, p.pd.ci95[0], p.pd.ci95[1])
+                (detector, sinr_db, p.pfa, p.pd.point, p.pd.ci95[0], p.pd.ci95[1])
                 for p in points
             )
     except ValueError as exc:
@@ -402,8 +385,6 @@ def cmd_mis_sample(config_path, out_path, seed, workers) -> int:
     started = time.monotonic()
     raw = _load_config(config_path)
     cfg = _scenario_from(raw, seed)
-    if cfg.n < 3:
-        raise _ConfigError("degenerate statistic: mis-sample needs n >= 3")
     trials = _trials(raw)
     t, lam = mis_samples(cfg, trials, seed, workers=workers)
     rows = (
@@ -454,10 +435,7 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     try:
         return args.func(args.config, args.out, args.seed, args.workers)
-    except _ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except PersymError as exc:
+    except (_ConfigError, PersymError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

@@ -37,9 +37,6 @@ class DetectorForm(Enum):
     MIS_FORM = "mis"
 
 
-#: Detectors with an evaluator that consumes only the maximal invariant.
-MIS_FORM_KINDS = frozenset({DetectorKind.GLR, DetectorKind.TWO_STEP_GLR, DetectorKind.WALD})
-
 #: Scale-sensitive statistic used as a negative control in CFAR experiments.
 NEGATIVE_CONTROL = "trace-psi0"
 
@@ -211,22 +208,17 @@ def mis_form(kind, t, k: int, n: int) -> float:
 def evaluate(kind, stat, form=DetectorForm.DIRECT) -> DetectorOutput:
     """Evaluate a detector on a :class:`SufficientStatistic`.
 
-    Computes the quadratic forms, dispatches to the requested form, and
-    returns the value together with the eigenvalues and scale estimates used.
+    Computes the quadratic forms, evaluates the shared formula body by name
+    (or :func:`mis_form` for the MIS form), and returns the value together
+    with the eigenvalues and scale estimates used.
     """
     kind = DetectorKind(kind)
     form = DetectorForm(form)
     psis = compute_psi(stat)
     if form is DetectorForm.MIS_FORM:
         value = mis_form(kind, mis(psis), stat.k, stat.n)
-    elif kind is DetectorKind.GLR:
-        value = glr(psis, stat.k, stat.n)
-    elif kind is DetectorKind.TWO_STEP_GLR:
-        value = two_step_glr(psis)
-    elif kind is DetectorKind.RAO:
-        value = rao(psis, stat.k, stat.n)
     else:
-        value = wald(psis, stat.k, stat.n)
+        value = _scalar(kind.value, psis, stat.k, stat.n)
     if kind is DetectorKind.TWO_STEP_GLR:
         g0 = g1 = None
     else:

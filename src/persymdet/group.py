@@ -16,15 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .canonical import _freeze
 from .errors import DimensionError
 from .statistics import SufficientStatistic, compute_psi, mis
 
 _SAMPLING_ATTEMPTS = 100
-
-
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
+_DEVIATION_FLOOR = 1e-12  # least denominator of an invariance_report deviation
+# discrimination_check: white (N, K) draws, distinct when t differs by more than TOL
+_DISCRIMINATION_N, _DISCRIMINATION_K, _DISCRIMINATION_TOL = 8, 16, 1e-6
 
 
 @dataclass(frozen=True)
@@ -181,21 +180,19 @@ def invariance_report(
     statistic_fn,
     n_elements: int,
     rng: np.random.Generator,
-    spread: float = 1.0,
     max_condition: float = 1e8,
-    floor: float = 1e-12,
 ) -> float:
     """Empirical invariance of ``statistic_fn`` under sampled group actions.
 
-    Returns the maximum over ``n_elements`` sampled elements of the relative
-    deviation ``|f(act(elem, stat)) - f(stat)| / max(|f(stat)|, floor)``,
+    Returns the maximum over ``n_elements`` sampled elements (unit spread) of
+    the relative deviation ``|f(act(elem, stat)) - f(stat)| / max(|f(stat)|, 1e-12)``,
     taken componentwise when ``f`` returns a vector.
     """
     base = np.asarray(statistic_fn(stat), dtype=float)
-    denom = np.maximum(np.abs(base), floor)
+    denom = np.maximum(np.abs(base), _DEVIATION_FLOOR)
     worst = 0.0
     for _ in range(int(n_elements)):
-        elem = sample_group_element(stat.n, rng, spread=spread, max_condition=max_condition)
+        elem = sample_group_element(stat.n, rng, max_condition=max_condition)
         moved = np.asarray(statistic_fn(act(elem, stat)), dtype=float)
         worst = max(worst, float(np.max(np.abs(moved - base) / denom)))
     return worst
@@ -208,13 +205,7 @@ def _random_statistic(rng: np.random.Generator, n: int, k: int) -> SufficientSta
     return SufficientStatistic(zp=zp, s=a @ a.T, k=k)
 
 
-def discrimination_check(
-    rng: np.random.Generator,
-    n_pairs: int,
-    n: int = 8,
-    k: int = 16,
-    tol: float = 1e-6,
-) -> float:
+def discrimination_check(rng: np.random.Generator, n_pairs: int) -> float:
     """Fraction of independently drawn statistic pairs with distinct MIS.
 
     Independent continuous draws land on distinct orbits almost surely, so
@@ -224,9 +215,10 @@ def discrimination_check(
     if n_pairs < 1:
         raise ValueError("n_pairs must be >= 1")
     distinct = 0
+    n, k = _DISCRIMINATION_N, _DISCRIMINATION_K
     for _ in range(int(n_pairs)):
         ta = mis(compute_psi(_random_statistic(rng, n, k))).as_array()
         tb = mis(compute_psi(_random_statistic(rng, n, k))).as_array()
-        if np.any(np.abs(ta - tb) > tol):
+        if np.any(np.abs(ta - tb) > _DISCRIMINATION_TOL):
             distinct += 1
     return distinct / n_pairs

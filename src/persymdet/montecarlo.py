@@ -49,6 +49,7 @@ _DRAW_BLOCK = 1 << 20
 _GIL_BOUND_NORMALS = 1024
 _DRAW_LOCK = threading.Lock()
 _Z95 = 1.959963984540054
+_BAND_SIGMAS = 3.0
 
 DetectorSpec = Union[DetectorKind, str]
 
@@ -82,8 +83,8 @@ class TrialPlan:
     workers: int = 1
 
     def __post_init__(self):
-        _check_count(self.trials, "trials")
-        _check_count(self.workers, "workers")
+        object.__setattr__(self, "trials", _check_count(self.trials, "trials"))
+        object.__setattr__(self, "workers", _check_count(self.workers, "workers"))
 
 
 @dataclass(frozen=True)
@@ -106,17 +107,18 @@ class CalibrationResult:
 
 
 def _check_count(value, what: str) -> int:
-    """``value`` as an int, or ``ValueError`` if it is below 1."""
-    value = int(value)
+    """``value`` as an int; ``ValueError`` unless it is integral and >= 1."""
+    value = scenario._integral(value, what)
     if value < 1:
         raise ValueError(f"{what} must be >= 1")
     return value
 
 
-def wilson_interval(successes: int, trials: int, z: float = _Z95) -> tuple:
+def wilson_interval(successes: int, trials: int) -> tuple:
     """95% Wilson score interval for a binomial proportion."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    z = _Z95
     p = successes / trials
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2.0 * trials)) / denom
@@ -126,9 +128,16 @@ def wilson_interval(successes: int, trials: int, z: float = _Z95) -> tuple:
     return (lo, hi)
 
 
-def binomial_band(target: float, trials: int, sigmas: float = 3.0) -> float:
-    """Half-width of the ``sigmas``-sigma binomial band around ``target``."""
-    return sigmas * math.sqrt(target * (1.0 - target) / trials)
+def binomial_band(target: float, trials: int) -> float:
+    """Half-width of the 3-sigma binomial band around ``target``."""
+    return _BAND_SIGMAS * math.sqrt(target * (1.0 - target) / trials)
+
+
+def _rate(values: np.ndarray, eta: float) -> EstimateWithCI:
+    """Exceedance rate ``P(value >= eta)`` of a sample, with its Wilson interval."""
+    trials = values.shape[0]
+    count = int(np.count_nonzero(values >= eta))
+    return EstimateWithCI(count / trials, wilson_interval(count, trials), trials)
 
 
 class _ChunkMaps(NamedTuple):
@@ -365,13 +374,7 @@ def estimate_rate(plan: TrialPlan, eta: float) -> EstimateWithCI:
 
     Estimates Pfa under H0 plans and Pd under H1 plans.
     """
-    values = detector_samples(plan)
-    count = int(np.count_nonzero(values >= eta))
-    return EstimateWithCI(
-        point=count / plan.trials,
-        ci95=wilson_interval(count, plan.trials),
-        n=plan.trials,
-    )
+    return _rate(detector_samples(plan), eta)
 
 
 @dataclass(frozen=True)
@@ -434,14 +437,15 @@ def cfar_sweep(
     # job 0 calibrates; the reference cell reuses its sample
     ref_cfg = replace(base, gamma=1.0, rho=rho_grid[0])
     jobs = [_Job(ref_cfg, names, n_cal, derive_seed(seed, 0))]
+    grid = list(product(gamma_grid, rho_grid))
     cell_jobs = []
-    for idx, (g, r) in enumerate(product(gamma_grid, rho_grid)):
+    for idx, (g, r) in enumerate(grid):
         if g == 1.0 and r == rho_grid[0]:
-            cell_jobs.append((g, r, 0))
+            cell_jobs.append(0)
         else:
             cfg = replace(base, gamma=g, rho=r)
             jobs.append(_Job(cfg, names, trials, derive_seed(seed, 1 + idx)))
-            cell_jobs.append((g, r, len(jobs) - 1))
+            cell_jobs.append(len(jobs) - 1)
     samples = _collect(jobs, workers)
 
     thresholds = {}
@@ -449,28 +453,14 @@ def cfar_sweep(
         eta, _ = _order_statistic_threshold(np.sort(samples[0][0][name]), target_pfa)
         thresholds[name] = eta
 
-    per_cell = {}
-    for g, r, job_idx in cell_jobs:
-        values, n_cell = samples[job_idx][0], jobs[job_idx].trials
-        band = binomial_band(target_pfa, n_cell)
-        for name in names:
-            count = int(np.count_nonzero(values[name] >= thresholds[name]))
-            point = count / n_cell
-            per_cell[(name, g, r)] = CfarCell(
-                detector=name,
-                gamma=g,
-                rho=r,
-                estimate=EstimateWithCI(point, wilson_interval(count, n_cell), n_cell),
-                passed=abs(point - target_pfa) <= band,
-            )
-    cells = tuple(
-        per_cell[(name, g, r)]
-        for name in names
-        for g in gamma_grid
-        for r in rho_grid
-    )
+    cells = []
+    for name in names:
+        for (g, r), job_idx in zip(grid, cell_jobs):
+            est = _rate(samples[job_idx][0][name], thresholds[name])
+            band = binomial_band(target_pfa, est.n)
+            cells.append(CfarCell(name, g, r, est, abs(est.point - target_pfa) <= band))
     return CfarSweepResult(
-        cells=cells, thresholds=thresholds, target_pfa=target_pfa, trials=trials
+        cells=tuple(cells), thresholds=thresholds, target_pfa=target_pfa, trials=trials
     )
 
 
@@ -559,10 +549,7 @@ def roc_curve(
     points = []
     for pfa in sorted(pfas):
         eta, _ = _order_statistic_threshold(v0, pfa)
-        count = int(np.count_nonzero(v1 >= eta))
-        points.append(
-            RocPoint(pfa, EstimateWithCI(count / trials, wilson_interval(count, trials), trials))
-        )
+        points.append(RocPoint(pfa, _rate(v1, eta)))
     pds = [p.pd.point for p in points]
     if any(b < a for a, b in zip(pds, pds[1:])):
         raise RuntimeError("detection probability is not monotone in pfa")

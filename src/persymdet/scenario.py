@@ -9,6 +9,7 @@ environment).
 """
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import NamedTuple, Optional
@@ -25,6 +26,15 @@ from .errors import ModelError
 from .streams import derive_stream
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
+
+
+def _integral(value, what: str) -> int:
+    """``value`` as an int; ``ValueError`` naming ``what`` unless it is integral."""
+    if isinstance(value, numbers.Integral) or (
+        isinstance(value, numbers.Real) and float(value).is_integer()
+    ):
+        return int(value)
+    raise ValueError(f"{what} must be an integer, not {value!r}")
 
 
 def steering(n: int, nu: float) -> SteeringVector:
@@ -80,6 +90,8 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _integral(self.n, "n"))
+        object.__setattr__(self, "k", _integral(self.k, "k"))
         if self.n < 2:
             raise ValueError("at least two channels are required")
         if self.k < 1:
@@ -169,6 +181,16 @@ def sample_dataset(cfg: ScenarioConfig, rng: Optional[np.random.Generator] = Non
     return Dataset(r=r, rk=rk, truth=cfg.hypothesis, scenario=cfg)
 
 
+def _whitened_power(s, m0):
+    """``Re(s' M0^-1 s)``; :class:`ModelError` when ``M0`` is singular."""
+    s = np.asarray(getattr(s, "entries", s), dtype=complex)
+    m = np.asarray(getattr(m0, "entries", m0), dtype=complex)
+    try:
+        return np.real(s.conj() @ np.linalg.solve(m, s))
+    except np.linalg.LinAlgError as exc:
+        raise ModelError("covariance is singular") from exc
+
+
 def sinr(alpha: complex, s, m0) -> float:
     """Output signal-to-interference-plus-noise ratio ``2 |alpha|^2 s' M0^-1 s``.
 
@@ -176,25 +198,14 @@ def sinr(alpha: complex, s, m0) -> float:
     equals ``||alpha_vec||^2 e1' M^-1 e1``, so detection performance depends
     on the scenario only through this number.
     """
-    s = np.asarray(getattr(s, "entries", s), dtype=complex)
-    m = np.asarray(getattr(m0, "entries", m0), dtype=complex)
-    try:
-        x = np.linalg.solve(m, s)
-    except np.linalg.LinAlgError as exc:
-        raise ModelError("covariance is singular") from exc
-    return float(2.0 * abs(alpha) ** 2 * np.real(s.conj() @ x))
+    return float(2.0 * abs(alpha) ** 2 * _whitened_power(s, m0))
 
 
 def alpha_for_sinr(sinr_db: float, phase: float, s, m0) -> complex:
     """Complex amplitude achieving the requested output SINR (in dB)."""
     if sinr_db == -np.inf:
         return 0.0 + 0.0j
-    s = np.asarray(getattr(s, "entries", s), dtype=complex)
-    m = np.asarray(getattr(m0, "entries", m0), dtype=complex)
-    try:
-        quad = float(np.real(s.conj() @ np.linalg.solve(m, s)))
-    except np.linalg.LinAlgError as exc:
-        raise ModelError("covariance is singular") from exc
+    quad = float(_whitened_power(s, m0))
     mag = np.sqrt(10.0 ** (sinr_db / 10.0) / (2.0 * quad))
     return complex(mag * np.exp(1j * phase))
 

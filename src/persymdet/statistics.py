@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .canonical import CanonicalizedData
+from .canonical import CanonicalizedData, _freeze
 from .errors import (
     ConditioningError,
     DegenerateStatisticError,
@@ -26,11 +26,6 @@ from .errors import (
 )
 
 _COND_LIMIT = 1e12
-
-
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
 
 
 def check_support(n: int, k: int) -> None:
@@ -215,16 +210,16 @@ def _psi_batch(zp: np.ndarray, s: np.ndarray, index_base: int = 0):
     return psi0, psi1
 
 
-def compute_psi(stat: SufficientStatistic, cond_limit: float = _COND_LIMIT) -> PsiPair:
+def compute_psi(stat: SufficientStatistic) -> PsiPair:
     """Quadratic forms of ``(Zp, S)``: :func:`_psi_batch` on a batch of one.
 
     Raises :class:`ConditioningError` unless S is positive definite with
-    ``cond2(S) <= cond_limit``; by Cauchy interlacing, so is S22.
+    ``cond2(S) <= _COND_LIMIT`` (1e12); by Cauchy interlacing, so is S22.
     """
     if stat.n < 2:
         raise DimensionError("the block partition requires N >= 2")
     ev = np.linalg.eigvalsh(stat.s)
-    if not (ev[0] > 0.0 and ev[-1] <= cond_limit * ev[0]):
+    if not (ev[0] > 0.0 and ev[-1] <= _COND_LIMIT * ev[0]):
         raise ConditioningError("scatter matrix S is too ill-conditioned or not positive definite")
     psi0, psi1 = _psi_batch(stat.zp[None], stat.s[None])
     return PsiPair(psi0=psi0[0], psi1=psi1[0])

@@ -244,6 +244,31 @@ class TestConfigHandling:
         assert "--workers must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, field, value",
+        [("cfar", "detector", v) for v in (5, None, [], ["glr", 5], {"glr": 1})]
+        + [("roc", "detector", v) for v in (["glr"], 5, None)]
+        + [("invariance-check", "debug_noninvariant", v) for v in ("false", 0, 1, None)],
+        ids=lambda v: v if isinstance(v, str) else json.dumps(v),
+    )
+    def test_malformed_choice_is_config_error(self, tmp_path, capsys, command, field, value):
+        base = {"cfar": TestCfar.CFG, "roc": TestRoc.CFG, "invariance-check": {**BASE, "trials": 5}}
+        cfg = _write(tmp_path / "c.json", {**base[command], field: value})
+        out = tmp_path / "x.out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {field} must be") and "Traceback" not in err
+        assert not out.exists()
+
+    def test_well_formed_choices_accepted(self, tmp_path):
+        cfg = _write(tmp_path / "c.json", {**TestCfar.CFG, "detector": ["wald", "glr"]})
+        out = tmp_path / "cfar.csv"
+        assert main(["cfar", "--config", cfg, "--out", str(out), "--seed", "1"]) == 0
+        rows = out.read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["wald"] * 4 + ["glr"] * 4
+        cfg = _write(tmp_path / "i.json", {**BASE, "trials": 5, "debug_noninvariant": False})
+        assert main(["invariance-check", "--config", cfg]) == 0
+
 
 # every numeric config field of each command, and the base config it is set in
 _NUMERIC_FIELDS = {

@@ -1,7 +1,9 @@
 import sys
 import threading
+import warnings
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from persymdet import (
     ScenarioConfig,
     TrialPlan,
     ancillarity_check,
+    as_hypothesis,
     assemble,
     binomial_band,
     build_transform,
@@ -356,6 +359,39 @@ class TestValidation:
         with pytest.raises(ValueError, match="workers must be >= 1"):
             TrialPlan(scenario=CFG, detector="glr", trials=10, master_seed=1, workers=workers)
 
+    @pytest.mark.parametrize("value", [100.7, 0.5, "100", None, float("nan"), float("inf")])
+    def test_non_integral_counts_rejected(self, value):
+        calls = {
+            "trials": [
+                lambda: statistic_samples(CFG, "glr", value, 1),
+                lambda: mis_samples(CFG, value, 1),
+                lambda: cfar_sweep("glr", CFG, [1.0], [0.0], 0.1, value, 1),
+                lambda: roc_curve("glr", CFG, 5.0, [0.1], value, 1),
+                lambda: TrialPlan(scenario=CFG, detector="glr", trials=value, master_seed=1),
+            ],
+            "workers": [
+                lambda: statistic_samples(CFG, "glr", 10, 1, workers=value),
+                lambda: TrialPlan(CFG, "glr", 10, 1, workers=value),
+            ],
+            # None is the default: calibrate on ``trials``
+            "calibration_trials": [] if value is None else [
+                lambda: cfar_sweep("glr", CFG, [1.0], [0.0], 0.1, 100, 1, calibration_trials=value),
+            ],
+        }
+        for field, field_calls in calls.items():
+            for call in field_calls:
+                with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+                    call()
+
+    @pytest.mark.parametrize("value", [8, np.int64(8), 8.0])
+    def test_integral_counts_accepted(self, value):
+        out = statistic_samples(CFG, "glr", value, 1, workers=value)["glr"]
+        assert out.shape == (8,)
+        assert np.array_equal(out, statistic_samples(CFG, "glr", 8, 1)["glr"])
+        plan = TrialPlan(CFG, "glr", value, 1, workers=value)
+        assert type(plan.trials) is int and type(plan.workers) is int
+        assert np.array_equal(detector_samples(plan), out)
+
 
 class TestCalibration:
     def test_median_at_half(self):
@@ -427,6 +463,23 @@ class TestCfarSweep:
         with pytest.raises(ValueError):
             cfar_sweep("glr", CFG, [], [0.0], 0.05, 100, seed=0)
 
+    def test_matches_plan_api(self):
+        # the sweep's threshold is calibrate_threshold on job 0 and each other
+        # cell is estimate_rate on job 1 + its grid index
+        name, pfa, trials, n_cal, seed = "wald", 0.05, 2_000, 4_000, 17
+        gammas, rhos = [0.5, 1.0], [0.3, 0.8]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # trials * pfa >= 100 everywhere
+            result = cfar_sweep(name, CFG, gammas, rhos, pfa, trials, seed, calibration_trials=n_cal)
+            ref_cfg = replace(CFG, gamma=1.0, rho=rhos[0])
+            cal = calibrate_threshold(TrialPlan(ref_cfg, name, n_cal, derive_seed(seed, 0)), pfa)
+        assert result.thresholds[name] == cal.threshold
+        idx = 1  # (gamma 0.5, rho 0.8)
+        cell = result.cells[idx]
+        assert (cell.gamma, cell.rho) == (0.5, 0.8)
+        plan = TrialPlan(replace(CFG, gamma=0.5, rho=0.8), name, trials, derive_seed(seed, 1 + idx))
+        assert cell.estimate == estimate_rate(plan, cal.threshold)
+
 
 class TestAncillarity:
     H0 = ScenarioConfig(n=8, k=16)
@@ -473,6 +526,20 @@ class TestRoc:
         assert pds_weak == sorted(pds_weak)
         for w, s in zip(weak, strong):
             assert s.pd.point > w.pd.point
+
+    def test_point_matches_plan_api(self):
+        # an ROC point is calibrate_threshold on the H0 sample (job 0) and
+        # estimate_rate on the H1 sample (job 1)
+        pfa, trials, seed, sinr_db = 0.05, 3_000, 23, 8.0
+        points = roc_curve("rao", CFG, sinr_db, [0.2, pfa], trials, seed)
+        h0 = as_hypothesis(CFG, "H0")
+        h1 = as_hypothesis(CFG, "H1", sinr_db=sinr_db)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # trials * pfa >= 100
+            cal = calibrate_threshold(TrialPlan(h0, "rao", trials, derive_seed(seed, 0)), pfa)
+        assert points[0].pfa == pfa
+        plan = TrialPlan(h1, "rao", trials, derive_seed(seed, 1))
+        assert points[0].pd == estimate_rate(plan, cal.threshold)
 
     def test_invalid_pfa_grid(self):
         with pytest.raises(ValueError):

@@ -89,6 +89,16 @@ class TestScenarioConfig:
             ScenarioConfig(n=8, k=16, nu=0.5)
         with pytest.raises(ValueError):
             ScenarioConfig(n=8, k=16, hypothesis="h2")
+        for field, value in (("n", 8.5), ("k", 16.5), ("n", "8"), ("k", None)):
+            with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+                ScenarioConfig(**{"n": 8, "k": 16, field: value})
+
+    @pytest.mark.parametrize("value", [8, np.int64(8), 8.0])
+    def test_integral_counts_stored_as_int(self, value):
+        cfg = ScenarioConfig(n=value, k=2 * value)
+        assert (cfg.n, cfg.k) == (8, 16)
+        assert type(cfg.n) is int and type(cfg.k) is int
+        assert cfg == ScenarioConfig(n=8, k=16)
 
     def test_as_hypothesis(self):
         base = ScenarioConfig(n=8, k=16, rho=0.4)
