@@ -5,7 +5,8 @@ the steering vector becomes ``e1`` (:mod:`persymdet.canonical`); the
 sufficient statistic ``(Zp, S)`` yields two 2x2 quadratic forms whose
 eigenvalue ratios form the maximal invariant (:mod:`persymdet.statistics`);
 the GLR, two-step GLR, Rao and Wald detectors are functions of that
-invariant (:mod:`persymdet.detectors`), hence CFAR; and the Monte Carlo
+invariant, hence CFAR, and each is evaluated from it alone as well as
+directly (:mod:`persymdet.detectors`); and the Monte Carlo
 engine (:mod:`persymdet.montecarlo`) certifies invariance and CFAR behavior
 empirically on synthetic scenarios (:mod:`persymdet.scenario`).
 """
@@ -25,12 +26,7 @@ from .canonical import (
 )
 from .detectors import (
     NEGATIVE_CONTROL,
-    DetectorForm,
     DetectorKind,
-    DetectorOutput,
-    evaluate,
-    g_gamma_den,
-    g_gamma_num,
     glr,
     mis_form,
     rao,
@@ -46,7 +42,6 @@ from .errors import (
     NormalizationError,
     PersymError,
     SingularSecondaryError,
-    UnsupportedFormError,
 )
 from .group import (
     GroupElement,

@@ -57,7 +57,7 @@ class SteeringVector:
             raise DimensionError("steering vector must be a 1-D array")
         norm = np.linalg.norm(s)
         if abs(norm - 1.0) > _UNIT_NORM_TOL:
-            raise NormalizationError(f"steering vector norm {norm!r} is not 1")
+            raise NormalizationError(f"steering vector norm {float(norm)} is not 1")
         j = exchange_matrix(s.size)
         if np.max(np.abs(s - j @ s.conj())) > _PERSYMMETRY_TOL:
             raise ModelError("steering vector is not persymmetric (s != J s*)")

@@ -26,7 +26,7 @@ from .canonical import build_transform, canonicalize
 from .detectors import NEGATIVE_CONTROL, DetectorKind, _scalar, mis_form
 from .errors import PersymError
 from .group import factorization_deviation, invariance_report, sample_group_element
-from .montecarlo import cfar_sweep, mis_samples, roc_curve
+from .montecarlo import _as_names, cfar_sweep, mis_samples, roc_curve
 from .scenario import ScenarioConfig, sample_dataset, steering
 from .statistics import assemble, compute_psi, mis
 from .streams import derive_seed, derive_stream
@@ -51,7 +51,7 @@ _SUITE_MAX_CONDITION = 1e2
 _ELEMENTS_PER_STATISTIC = 10
 
 _DETECTOR_TOLERANCES = {"glr": 1e-8, "2s-glr": 1e-8, "wald": 1e-8, "rao": 1e-6}
-_IDENTITY_TOLERANCES = {"glr": 1e-9, "2s-glr": 1e-12, "wald": 1e-10}
+_IDENTITY_TOLERANCES = {"glr": 1e-9, "2s-glr": 1e-12, "wald": 1e-10, "rao": 1e-9}
 _FACTORIZATION_TOL = 1e-12
 _MIS_INVARIANCE_TOL = 1e-8
 _INTERLACING_SLACK = 1e-10
@@ -132,6 +132,10 @@ def _detectors(raw: dict, default, many: bool):
     if not all(isinstance(name, str) for name in names):
         expected = "a string or a nonempty list of strings" if many else "a string"
         raise _ConfigError(f"detector must be {expected}, not {value!r}")
+    try:
+        _as_names(names)
+    except ValueError as exc:
+        raise _ConfigError(str(exc)) from None
     return value
 
 
@@ -353,6 +357,7 @@ def cmd_roc(config_path, out_path, seed, workers) -> int:
     base.pop("sinr_db", None)  # roc drives the hypothesis itself
     cfg = _scenario_from(base, seed)
     trials = _trials(raw)
+    detector = _detectors(raw, DetectorKind.GLR.value, many=False)
     pfa_grid = _numbers(_require(raw, "pfa_grid"), "pfa_grid")
     if "sinr_grid" in raw:
         sinr_grid = _numbers(raw["sinr_grid"], "sinr_grid")
@@ -360,9 +365,10 @@ def cmd_roc(config_path, out_path, seed, workers) -> int:
         sinr_grid = [_number(raw["sinr_db"], "sinr_db")]
     else:
         raise _ConfigError("roc needs sinr_db or sinr_grid")
+    if not sinr_grid:
+        raise _ConfigError("sinr_grid must be nonempty")
     if not pfa_grid or any(not 0.0 < p <= 1.0 for p in pfa_grid):
         raise _ConfigError("pfa_grid values must lie in (0, 1]")
-    detector = _detectors(raw, DetectorKind.GLR.value, many=False)
     rows = []
     try:
         for i, sinr_db in enumerate(sinr_grid):

@@ -1,28 +1,24 @@
 """GLR, two-step GLR (Per-ACE), Rao and Wald detection statistics.
 
-Each statistic is exposed in direct form, evaluated from the quadratic-form
-pair ``(psi0, psi1)``, and (except Rao) in a form that consumes only the
-maximal invariant ``t = (t1, t2, t3)``; the two agree to round-off. The
-direct forms are one formula body on stacked arrays or floats, which the
-Monte Carlo engine and the scalar API share. The Rao statistic is invariant
-as well but has no closed expression in ``t`` here, so only its direct
-form is provided.
+Each statistic is one formula body, evaluated on the quadratic-form pair
+``(psi0, psi1)`` as stacked arrays in the Monte Carlo engine and as Python
+floats in the scalar API. All four are invariant, so each is also a
+function of the maximal invariant ``t = (t1, t2, t3)`` alone:
+:func:`mis_form` runs the same body on a pair built from ``t``, and agrees
+with the direct form to round-off.
 """
 
-from dataclasses import dataclass
+import math
 from enum import Enum
 
 import numpy as np
 
-from .errors import (
-    DegenerateStatisticError,
-    NearSingularDenominatorError,
-    UnsupportedFormError,
-)
-from .statistics import MISVector, PsiPair, _gamma_hat, _trace_det, compute_psi, mis
-from .statistics import scale_estimates
+from .errors import DegenerateStatisticError, NearSingularDenominatorError
+from .statistics import MISVector, PsiPair, _gamma_hat, _trace_det
 
 _RAO_DENOMINATOR_TOL = 1e-12
+#: Relative slack on the interlacing ``t1 >= t3 >= t2 >= 1`` of a computed ``t``.
+_INTERLACING_SLACK = 1e-10
 
 
 class DetectorKind(Enum):
@@ -32,28 +28,11 @@ class DetectorKind(Enum):
     WALD = "wald"
 
 
-class DetectorForm(Enum):
-    DIRECT = "direct"
-    MIS_FORM = "mis"
-
-
 #: Scale-sensitive statistic used as a negative control in CFAR experiments.
 NEGATIVE_CONTROL = "trace-psi0"
 
 STATISTIC_NAMES = tuple(k.value for k in DetectorKind) + (NEGATIVE_CONTROL,)
 _GLR, _TWO_STEP, _RAO, _WALD = (kind.value for kind in DetectorKind)
-
-
-@dataclass(frozen=True)
-class DetectorOutput:
-    """A detector value plus the diagnostics it was computed from."""
-
-    value: float
-    kind: DetectorKind
-    form: DetectorForm
-    gamma0_hat: float | None
-    gamma1_hat: float | None
-    eigenvalues: tuple
 
 
 def _batch_values(name: str, psi0, psi1, k, n, index_base: int = 0) -> np.ndarray:
@@ -155,80 +134,40 @@ def wald(psis: PsiPair, k: int, n: int) -> float:
     return _scalar(_WALD, psis, k, n)
 
 
-def _g_gamma(ratio: float, k: int, n: int) -> float:
-    """Auxiliary function of an eigenvalue ratio ``r >= 1``.
+def _representative(t1: float, t2: float, t3: float):
+    """Entries of a quadratic-form pair whose maximal invariant is ``t``.
 
-    ``g_gamma_num(t1/t2) = l1 * gamma0_hat`` and ``g_gamma_den(t3) = l3 *
-    gamma1_hat``: (largest eigenvalue) * (scale MLE) is invariant under common
-    scaling of the eigenvalue pair, so it is the MLE on the pair ``(r, 1)``.
+    ``psi1 = diag(t3, 1)`` and ``psi0 = psi1 + w w'``, where the secular
+    equation of the rank-one update (Golub 1973) gives ``w1^2 = (t1 - t3) r``
+    and ``w2^2 = (t1 - 1)(1 - r)`` with ``r = (t3 - t2) / (t3 - 1)``; then
+    psi0 has eigenvalues ``(t1, t2)`` and psi1 ``(t3, 1)``. Every pair of the
+    data model (psi0 - psi1 rank-one PSD) with invariant ``t`` is
+    ``U' psi U / phi`` of this one, so every invariant statistic takes the
+    same value on it. ``r`` is clamped to [0, 1], and ``r = 1`` when
+    ``t3 <= 1``, where interlacing forces ``t2 = 1``.
     """
-    ratio = float(ratio)
-    if ratio < 1.0 - 1e-12:
-        raise ValueError(f"eigenvalue ratio must be >= 1, got {ratio!r}")
-    ratio = max(ratio, 1.0)
-    g, _ = _gamma_hat(ratio + 1.0, ratio, k, n)
-    return float(ratio * g)
-
-
-g_gamma_num = g_gamma_den = _g_gamma
+    slack = _INTERLACING_SLACK * max(t1, 1.0)
+    if not (t1 >= t3 - slack and t3 >= t2 - slack and t2 >= 1.0 - slack):
+        raise ValueError(f"t = ({t1}, {t2}, {t3}) breaks t1 >= t3 >= t2 >= 1")
+    r = min(max((t3 - t2) / (t3 - 1.0), 0.0), 1.0) if t3 > 1.0 else 1.0
+    w1sq = max(t1 - t3, 0.0) * r
+    w2sq = max(t1 - 1.0, 0.0) * (1.0 - r)
+    off = math.sqrt(w1sq * w2sq)
+    return (t3 + w1sq, off, off, 1.0 + w2sq), (t3, 0.0, 0.0, 1.0)
 
 
 def mis_form(kind, t, k: int, n: int) -> float:
-    """Detector value from the maximal invariant alone.
+    """Detector value from the maximal invariant ``t`` alone.
 
-    Available for GLR, two-step GLR and Wald; the Rao statistic has no
-    closed invariant-form expression here and raises
-    :class:`UnsupportedFormError`.
+    The direct formula body evaluated on :func:`_representative`, a
+    quadratic-form pair in the orbit that ``t`` labels; the value equals the
+    direct form to round-off for all four detectors. Raises ``ValueError``
+    when ``t`` breaks the interlacing ``t1 >= t3 >= t2 >= 1`` by more than
+    a relative 1e-10.
     """
-    kind = DetectorKind(kind)
+    name = DetectorKind(kind).value
     if isinstance(t, MISVector):
-        t1, t2, t3 = t.t1, t.t2, t.t3
-    else:
-        t1, t2, t3 = (float(x) for x in t)
-    if kind is DetectorKind.TWO_STEP_GLR:
-        return (t1 + t2) / (1.0 + t3)
-    if kind is DetectorKind.WALD:
-        gd = _g_gamma(t3, k, n)
-        return gd * ((t1 / t3) + (t2 / t3) - (1.0 + 1.0 / t3))
-    if kind is DetectorKind.GLR:
-        gn = _g_gamma(t1 / t2, k, n)
-        gd = _g_gamma(t3, k, n)
-        expo = -n / (k + 1.0)
-        logval = (
-            expo * (np.log(t3) + np.log(gn) - np.log(t1) - np.log(gd))
-            + np.log1p(gn)
-            + np.log1p((t2 / t1) * gn)
-            - np.log1p(gd)
-            - np.log1p(gd / t3)
-        )
-        return float(np.exp(logval))
-    raise UnsupportedFormError("the Rao statistic has no MIS-only form")
-
-
-def evaluate(kind, stat, form=DetectorForm.DIRECT) -> DetectorOutput:
-    """Evaluate a detector on a :class:`SufficientStatistic`.
-
-    Computes the quadratic forms, evaluates the shared formula body by name
-    (or :func:`mis_form` for the MIS form), and returns the value together
-    with the eigenvalues and scale estimates used.
-    """
-    kind = DetectorKind(kind)
-    form = DetectorForm(form)
-    psis = compute_psi(stat)
-    if form is DetectorForm.MIS_FORM:
-        value = mis_form(kind, mis(psis), stat.k, stat.n)
-    else:
-        value = _scalar(kind.value, psis, stat.k, stat.n)
-    if kind is DetectorKind.TWO_STEP_GLR:
-        g0 = g1 = None
-    else:
-        est = scale_estimates(psis, stat.k, stat.n)
-        g0, g1 = est.gamma0_hat, est.gamma1_hat
-    return DetectorOutput(
-        value=float(value),
-        kind=kind,
-        form=form,
-        gamma0_hat=g0,
-        gamma1_hat=g1,
-        eigenvalues=psis.lam,
-    )
+        t = (t.t1, t.t2, t.t3)
+    t1, t2, t3 = (float(x) for x in t)
+    e0, e1 = _representative(t1, t2, t3)
+    return float(_values(name, e0, e1, k, n))

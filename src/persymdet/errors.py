@@ -32,7 +32,3 @@ class DegenerateStatisticError(PersymError):
 
 class NearSingularDenominatorError(PersymError):
     """The Rao statistic denominator is numerically zero."""
-
-
-class UnsupportedFormError(PersymError):
-    """The requested detector form is not available for this detector."""

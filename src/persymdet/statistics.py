@@ -203,7 +203,7 @@ def _psi_batch(zp: np.ndarray, s: np.ndarray, index_base: int = 0):
     if np.any(bad):
         offset = int(np.argmax(bad))
         raise DegenerateStatisticError(
-            f"trial {index_base + offset}: Schur complement of S22 is {c[offset]!r}"
+            f"trial {index_base + offset}: Schur complement of S22 is {float(c[offset])}"
         )
     u = zp[:, 0, :] - w[:, :2]
     psi0 = psi1 + (u[:, :, None] * u[:, None, :]) / c[:, None, None]

@@ -112,18 +112,19 @@ def test_criterion_2_detector_invariance(invariance_deviations):
 
 def test_criterion_3_mis_form_identities(instance_pool):
     started = time.perf_counter()
-    worst = {"glr": 0.0, "2s-glr": 0.0, "wald": 0.0}
+    worst = {"glr": 0.0, "2s-glr": 0.0, "wald": 0.0, "rao": 0.0}
     for stat, psis, t in instance_pool:
         direct = {
             "glr": glr(psis, K, N),
             "2s-glr": two_step_glr(psis),
             "wald": wald(psis, K, N),
+            "rao": rao(psis, K, N),
         }
         for name in worst:
             via_t = mis_form(name, t, K, N)
             worst[name] = max(worst[name], abs(via_t - direct[name]) / abs(direct[name]))
     elapsed = time.perf_counter() - started
-    tols = {"glr": 1e-9, "2s-glr": 1e-12, "wald": 1e-10}
+    tols = {"glr": 1e-9, "2s-glr": 1e-12, "wald": 1e-10, "rao": 1e-9}
     ok = all(worst[n] <= t for n, t in tols.items()) and elapsed <= 10.0
     detail = ", ".join(f"{n} {worst[n]:.2e}" for n in tols)
     _report(3, ok, f"form identities on 1e4 instances: {detail}, {elapsed:.1f}s")

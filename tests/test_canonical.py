@@ -175,7 +175,7 @@ class TestTransformCovariance:
 
 
 def test_steering_vector_validation():
-    with pytest.raises(NormalizationError):
+    with pytest.raises(NormalizationError, match=r"^steering vector norm 2\.0 is not 1$"):
         SteeringVector(np.array([2.0, 0.0]))
     sv = steering(5, 0.3)
     assert sv.n == 5

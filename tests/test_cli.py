@@ -45,7 +45,8 @@ class TestInvarianceCheck:
         assert main(["invariance-check", "--config", cfg, "--out", str(out)]) == 0
         summary = json.loads(out.read_text())
         assert summary["all_passed"]
-        assert len(summary["suites"]) == 10
+        assert len(summary["suites"]) == 11
+        assert "form-identity[rao]" in [s["suite"] for s in summary["suites"]]
 
 
 class TestCfar:
@@ -146,6 +147,20 @@ class TestRoc:
         cfg = _write(tmp_path / "c.json", {**self.CFG, "pfa_grid": [0.5, 1.5]})
         assert main(["roc", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
 
+    @pytest.mark.parametrize(
+        "change, message",
+        [({"sinr_grid": []}, "sinr_grid must be nonempty"),
+         ({"detector": "bogus"}, "unknown detector 'bogus'"),
+         ({"sinr_grid": [], "detector": "bogus"}, "unknown detector 'bogus'")],
+    )
+    def test_empty_sinr_grid_or_unknown_detector(self, tmp_path, capsys, change, message):
+        # no curve runs for an empty grid, so the detector is checked up front
+        cfg = _write(tmp_path / "c.json", {**self.CFG, **change})
+        out = tmp_path / "x.csv"
+        assert main(["roc", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
+        assert not out.exists()
+
     def test_determinism(self, tmp_path):
         cfg = _write(tmp_path / "c.json", self.CFG)
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -202,6 +217,15 @@ class TestMisSample:
         assert main(["mis-sample", "--config", cfg, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "trials must be >= 1" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_overflowing_scatter_message_is_plain(self, tmp_path, capsys):
+        # gamma = 1e308 overflows S; the Schur complement prints as a float
+        cfg = _write(tmp_path / "c.json", {**self.CFG, "gamma": 1e308})
+        out = tmp_path / "x.csv"
+        assert main(["mis-sample", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: trial 0: Schur complement of S22 is nan\n"
         assert not out.exists()
 
     def test_too_few_secondaries_is_config_error(self, tmp_path, capsys):

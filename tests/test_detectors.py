@@ -5,17 +5,12 @@ from hypothesis import strategies as st
 
 from persymdet import (
     DegenerateStatisticError,
-    DetectorForm,
     DetectorKind,
     NearSingularDenominatorError,
     PsiPair,
     ScenarioConfig,
     SufficientStatistic,
-    UnsupportedFormError,
     compute_psi,
-    evaluate,
-    g_gamma_den,
-    g_gamma_num,
     glr,
     mis,
     mis_form,
@@ -25,7 +20,7 @@ from persymdet import (
     wald,
 )
 from persymdet import detectors, montecarlo
-from persymdet.statistics import _psi_batch
+from persymdet.statistics import _gamma_hat, _psi_batch
 
 K, N = 8, 4
 PSIS = PsiPair(psi0=np.diag([2.0, 1.0]), psi1=np.diag([1.5, 0.5]))
@@ -136,12 +131,19 @@ class TestWald:
             assert wald(compute_psi(stat), stat.k, stat.n) >= 0.0
 
 
+def _g(ratio, k, n):
+    # (larger eigenvalue) * gamma_hat of a form with eigenvalues (ratio, 1)
+    return ratio * _gamma_hat(ratio + 1.0, ratio, k, n)[0]
+
+
 class TestGGamma:
+    """Scale law ``c gamma_hat(c tr, c^2 det) = gamma_hat(tr, det)`` of the MLE."""
+
     @pytest.mark.parametrize("c", [0.1, 1.0, 10.0])
     def test_ratio_one_is_scale_free(self, c):
         psis = PsiPair(psi0=np.diag([c, c]), psi1=np.diag([c, c]))
         est = scale_estimates(psis, 16, 8)
-        assert g_gamma_num(1.0, 16, 8) == pytest.approx(c * est.gamma0_hat, rel=1e-13)
+        assert _g(1.0, 16, 8) == pytest.approx(c * est.gamma0_hat, rel=1e-13)
 
     def test_equals_lambda_times_gamma(self, stat_factory):
         for seed in range(30):
@@ -149,14 +151,10 @@ class TestGGamma:
             psis = compute_psi(stat)
             est = scale_estimates(psis, stat.k, stat.n)
             l1, l2, l3, l4 = psis.lam
-            gn = g_gamma_num(l1 / l2, stat.k, stat.n)
-            gd = g_gamma_den(l3 / l4, stat.k, stat.n)
+            gn = _g(l1 / l2, stat.k, stat.n)
+            gd = _g(l3 / l4, stat.k, stat.n)
             assert gn == pytest.approx(l1 * est.gamma0_hat, rel=1e-11)
             assert gd == pytest.approx(l3 * est.gamma1_hat, rel=1e-11)
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            g_gamma_num(0.5, 16, 8)
 
 
 class TestMisForm:
@@ -166,9 +164,40 @@ class TestMisForm:
     def test_two_step_hand(self):
         assert mis_form("2s-glr", (4.0, 2.0, 3.0), 16, 8) == pytest.approx(1.5)
 
-    def test_rao_unsupported(self):
-        with pytest.raises(UnsupportedFormError):
-            mis_form("rao", (4.0, 2.0, 3.0), 16, 8)
+    def test_rao_hand(self):
+        # the representative of t = (4, 2, 3): psi1 = diag(3, 1) and
+        # psi0 = psi1 + w w' with w = (sqrt(1/2), sqrt(3/2))
+        w = np.sqrt([0.5, 1.5])
+        psis = PsiPair(psi0=np.diag([3.0, 1.0]) + np.outer(w, w), psi1=np.diag([3.0, 1.0]))
+        assert mis(psis).as_array() == pytest.approx([4.0, 2.0, 3.0], rel=1e-15)
+        assert mis_form("rao", (4.0, 2.0, 3.0), 16, 8) == pytest.approx(
+            rao(psis, 16, 8), rel=1e-14
+        )
+
+    def test_interlacing_violation_rejected(self):
+        # each order of t1 >= t3 >= t2 >= 1 broken by 1e-8, beyond the slack
+        for t in ((2.0, 1.0, 2.0 + 1e-8), (3.0, 2.0 + 1e-8, 2.0), (3.0, 1.0 - 1e-8, 2.0),
+                  (float("nan"), 1.0, 1.0)):
+            with pytest.raises(ValueError, match="breaks"):
+                mis_form("glr", t, 16, 8)
+        assert mis_form("glr", (2.0, 1.0, 2.0 + 1e-11), 16, 8) > 0.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        gaps=st.tuples(*3 * [st.one_of(st.just(0.0), st.floats(0.0, 1e4))]),
+    )
+    def test_representative_property(self, gaps):
+        # interlaced t2 = 1 + a, t3 = t2 + b, t1 = t3 + c, ties and t3 = 1 included
+        t2 = 1.0 + gaps[0]
+        t3 = t2 + gaps[1]
+        t1 = t3 + gaps[2]
+        e0, e1 = detectors._representative(t1, t2, t3)
+        back = mis(PsiPair(psi0=np.reshape(e0, (2, 2)), psi1=np.reshape(e1, (2, 2))))
+        # mis divides by lambda4 = ((t3 + 1) - (t3 - 1)) / 2, which rounds like eps * t3
+        assert np.abs(back.as_array() - [t1, t2, t3]) == pytest.approx(0.0, abs=2e-15 * t1 * t3)
+        for kind in DetectorKind:
+            for k, n in ((16, 8), (6, 3)):
+                assert np.isfinite(mis_form(kind, (t1, t2, t3), k, n)), (kind, k, n)
 
     def test_two_step_at_least_one(self, stat_factory):
         for seed in range(30):
@@ -192,18 +221,14 @@ def test_branch_continuity_near_degenerate_determinant():
     assert values[0] == pytest.approx(values[1], rel=1e-6)
 
 
-def test_evaluate_outputs(stat_factory):
-    stat = stat_factory(1)
-    out = evaluate(DetectorKind.GLR, stat)
-    assert out.kind is DetectorKind.GLR and out.form is DetectorForm.DIRECT
-    assert out.gamma0_hat > 0 and out.gamma1_hat > 0
-    assert len(out.eigenvalues) == 4
-    out_mis = evaluate("glr", stat, form="mis")
-    assert out_mis.value == pytest.approx(out.value, rel=1e-9)
-    out_2s = evaluate("2s-glr", stat)
-    assert out_2s.gamma0_hat is None
-    with pytest.raises(UnsupportedFormError):
-        evaluate("rao", stat, form=DetectorForm.MIS_FORM)
+def test_mis_form_identities(stat_factory):
+    for seed in range(30):
+        stat = stat_factory(seed)
+        psis = compute_psi(stat)
+        t = mis(psis)
+        for kind in DetectorKind:
+            direct = detectors._scalar(kind.value, psis, stat.k, stat.n)
+            assert mis_form(kind, t, stat.k, stat.n) == pytest.approx(direct, rel=1e-9), seed
 
 
 # the public scalar value of each statistic (trace-psi0 as the CLI takes it)
