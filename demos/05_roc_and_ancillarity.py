@@ -4,7 +4,10 @@ Two experiments:
 
 1. ROC points for the GLR at several SINR levels; detection probability is
    driven by the output SINR alone (the induced invariant), so two very
-   different disturbances with the same SINR give the same curve.
+   different disturbances, and target phases, with the same SINR give the
+   same detection probability. That comparison runs the engine's sample ->
+   threshold -> rate path by hand: an H0 sample calibrates the threshold and
+   an H1 sample with the chosen complex amplitude gives Pd.
 2. A two-sample KS comparison of the invariant's components across H0/H1:
    t3 is ancillary (its distribution ignores the hypothesis) while t1
    carries the detection information.
@@ -16,9 +19,12 @@ from persymdet import (
     ScenarioConfig,
     alpha_for_sinr,
     ancillarity_check,
+    calibrate_threshold,
     covariance_model,
+    estimate_rate,
     roc_curve,
     sinr,
+    statistic_samples,
     steering,
 )
 
@@ -33,13 +39,16 @@ for sinr_db in (5.0, 10.0, 15.0):
 
 print("\n== same SINR, different disturbance ==")
 for rho, gamma, phase in ((0.0, 1.0, 0.0), (0.9, 4.0, 2.0)):
-    cfg = ScenarioConfig(n=8, k=16, rho=rho, gamma=gamma, cnr_db=10.0, nu=0.1)
+    disturbance = dict(n=8, k=16, rho=rho, gamma=gamma, cnr_db=10.0, nu=0.1)
     m0 = covariance_model(8, rho, 0.0, 10.0)
     alpha = alpha_for_sinr(12.0, phase, steering(8, 0.1), m0)
     achieved = 10 * np.log10(sinr(alpha, steering(8, 0.1), m0))
-    points = roc_curve("glr", cfg, 12.0, [1e-2], TRIALS, seed=55)
-    print(f"rho={rho}, gamma={gamma}, phase={phase}: |alpha| = {abs(alpha):.4f} "
-          f"(SINR {achieved:.1f} dB) -> Pd(1e-2) = {points[0].pd.point:.3f}")
+    h0 = ScenarioConfig(**disturbance)
+    h1 = ScenarioConfig(**disturbance, hypothesis="H1", alpha=alpha)
+    eta = calibrate_threshold(statistic_samples(h0, "glr", TRIALS, 55)["glr"], 1e-2)
+    pd = estimate_rate(statistic_samples(h1, "glr", TRIALS, 56)["glr"], eta)
+    print(f"rho={rho}, gamma={gamma}, phase={phase}: alpha = {alpha:.4f} "
+          f"(SINR {achieved:.1f} dB) -> Pd(1e-2) = {pd.point:.3f}")
 
 print("\n== ancillarity of t3 ==")
 h0 = ScenarioConfig(n=8, k=16, rho=0.5, cnr_db=5.0, nu=0.1)

@@ -57,18 +57,15 @@ from .group import (
     sample_group_element,
 )
 from .montecarlo import (
-    CalibrationResult,
     CfarCell,
     CfarSweepResult,
     EstimateWithCI,
     KsResult,
     RocPoint,
-    TrialPlan,
     ancillarity_check,
     binomial_band,
     calibrate_threshold,
     cfar_sweep,
-    detector_samples,
     estimate_rate,
     mis_samples,
     roc_curve,
@@ -92,7 +89,6 @@ from .statistics import (
     SufficientStatistic,
     assemble,
     compute_psi,
-    eig2_desc,
     mis,
     scale_estimates,
 )

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .canonical import build_transform, canonicalize
-from .detectors import NEGATIVE_CONTROL, DetectorKind, _scalar, mis_form
+from .detectors import _INTERLACING_SLACK, NEGATIVE_CONTROL, DetectorKind, _scalar, mis_form
 from .errors import PersymError
 from .group import factorization_deviation, invariance_report, sample_group_element
 from .montecarlo import _as_names, cfar_sweep, mis_samples, roc_curve
@@ -54,7 +54,6 @@ _DETECTOR_TOLERANCES = {"glr": 1e-8, "2s-glr": 1e-8, "wald": 1e-8, "rao": 1e-6}
 _IDENTITY_TOLERANCES = {"glr": 1e-9, "2s-glr": 1e-12, "wald": 1e-10, "rao": 1e-9}
 _FACTORIZATION_TOL = 1e-12
 _MIS_INVARIANCE_TOL = 1e-8
-_INTERLACING_SLACK = 1e-10
 
 
 class _ConfigError(Exception):

@@ -18,6 +18,7 @@ import numpy as np
 
 from .canonical import _freeze
 from .errors import DimensionError
+from .scenario import _check_count
 from .statistics import SufficientStatistic, compute_psi, mis
 
 _SAMPLING_ATTEMPTS = 100
@@ -93,8 +94,9 @@ def sample_group_element(
     composed with a reflection with probability 1/2, and ``phi`` is
     log-uniform on ``[1e-2 spread, 1e2 spread]``.
     """
-    if spread <= 0.0:
-        raise ValueError("spread must be positive")
+    if not 0.0 < spread < np.inf:
+        # the candidates' entries, and so their SVDs, must stay finite
+        raise ValueError(f"spread must be positive and finite, not {spread!r}")
     if n < 2:
         raise DimensionError("group elements require n >= 2")
     if not max_condition < np.inf:
@@ -188,10 +190,11 @@ def invariance_report(
     the relative deviation ``|f(act(elem, stat)) - f(stat)| / max(|f(stat)|, 1e-12)``,
     taken componentwise when ``f`` returns a vector.
     """
+    n_elements = _check_count(n_elements, "n_elements")
     base = np.asarray(statistic_fn(stat), dtype=float)
     denom = np.maximum(np.abs(base), _DEVIATION_FLOOR)
     worst = 0.0
-    for _ in range(int(n_elements)):
+    for _ in range(n_elements):
         elem = sample_group_element(stat.n, rng, max_condition=max_condition)
         moved = np.asarray(statistic_fn(act(elem, stat)), dtype=float)
         worst = max(worst, float(np.max(np.abs(moved - base) / denom)))
@@ -212,11 +215,10 @@ def discrimination_check(rng: np.random.Generator, n_pairs: int) -> float:
     the expected fraction is 1.0. Pairs related by a group action (same
     orbit) are the complementary check and live in the invariance report.
     """
-    if n_pairs < 1:
-        raise ValueError("n_pairs must be >= 1")
+    n_pairs = _check_count(n_pairs, "n_pairs")
     distinct = 0
     n, k = _DISCRIMINATION_N, _DISCRIMINATION_K
-    for _ in range(int(n_pairs)):
+    for _ in range(n_pairs):
         ta = mis(compute_psi(_random_statistic(rng, n, k))).as_array()
         tb = mis(compute_psi(_random_statistic(rng, n, k))).as_array()
         if np.any(np.abs(ta - tb) > _DISCRIMINATION_TOL):

@@ -1,11 +1,16 @@
-"""Monte Carlo engine: threshold calibration, rate estimation, CFAR sweeps.
+"""Monte Carlo engine: detector samples, thresholds, rates, CFAR sweeps.
+
+One path turns a sample into a decision: :func:`calibrate_threshold` takes
+an order statistic of an H0 :func:`statistic_samples` sample, and
+:func:`estimate_rate` counts exceedances on a fresh one. :func:`cfar_sweep`
+and :func:`roc_curve` run the same order statistic and count.
 
 Trials are embarrassingly parallel. Each trial draws from its own
 counter-derived stream (see :mod:`persymdet.streams`), so every output is a
-pure function of ``(plan, master_seed)`` and independent of chunking or
-worker count. Heavy linear algebra is evaluated in vectorized chunks that
-work in canonical coordinates throughout: cached real maps take each
-trial's normals straight to ``(Zp, S)``, and one batched solve against
+pure function of ``(config, trials, master_seed)`` and independent of
+chunking or worker count. Heavy linear algebra is evaluated in vectorized
+chunks that work in canonical coordinates throughout: cached real maps take
+each trial's normals straight to ``(Zp, S)``, and one batched solve against
 ``S22`` gives both quadratic forms. The public single-trial API runs the
 same psi kernel and detector formulas.
 
@@ -38,7 +43,8 @@ import numpy as np
 from . import detectors, scenario
 from .detectors import DetectorKind
 from .errors import DegenerateStatisticError
-from .statistics import _psi_batch, check_support, eig2_desc
+from .scenario import _check_count
+from .statistics import _eig2, _psi_batch, check_support
 from .streams import derive_seed, stream_rekeyer
 
 _CHUNK = 4096  # fixed: results must not depend on worker count
@@ -51,10 +57,7 @@ _DRAW_LOCK = threading.Lock()
 _Z95 = 1.959963984540054
 _BAND_SIGMAS = 3.0
 
-DetectorSpec = Union[DetectorKind, str]
-
-
-def _statistic_name(detector: DetectorSpec) -> str:
+def _statistic_name(detector: Union[DetectorKind, str]) -> str:
     if isinstance(detector, DetectorKind):
         return detector.value
     name = str(detector)
@@ -73,21 +76,6 @@ def _as_names(detector) -> list:
 
 
 @dataclass(frozen=True)
-class TrialPlan:
-    """A batch of Monte Carlo trials for one scenario and one detector."""
-
-    scenario: scenario.ScenarioConfig
-    detector: DetectorSpec
-    trials: int
-    master_seed: int
-    workers: int = 1
-
-    def __post_init__(self):
-        object.__setattr__(self, "trials", _check_count(self.trials, "trials"))
-        object.__setattr__(self, "workers", _check_count(self.workers, "workers"))
-
-
-@dataclass(frozen=True)
 class EstimateWithCI:
     """A proportion estimate with its 95% Wilson interval."""
 
@@ -96,28 +84,12 @@ class EstimateWithCI:
     n: int
 
 
-@dataclass(frozen=True)
-class CalibrationResult:
-    """A calibrated threshold and the false-alarm rate it achieves."""
-
-    threshold: float
-    target_pfa: float
-    achieved_pfa_ci: tuple
-    trials: int
-
-
-def _check_count(value, what: str) -> int:
-    """``value`` as an int; ``ValueError`` unless it is integral and >= 1."""
-    value = scenario._integral(value, what)
-    if value < 1:
-        raise ValueError(f"{what} must be >= 1")
-    return value
-
-
 def wilson_interval(successes: int, trials: int) -> tuple:
     """95% Wilson score interval for a binomial proportion."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if not 0 <= successes <= trials:
+        raise ValueError(f"successes must lie in [0, trials], not {successes!r}")
     z = _Z95
     p = successes / trials
     denom = 1.0 + z * z / trials
@@ -130,14 +102,11 @@ def wilson_interval(successes: int, trials: int) -> tuple:
 
 def binomial_band(target: float, trials: int) -> float:
     """Half-width of the 3-sigma binomial band around ``target``."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    if not 0.0 <= target <= 1.0:
+        raise ValueError(f"target must lie in [0, 1], not {target!r}")
     return _BAND_SIGMAS * math.sqrt(target * (1.0 - target) / trials)
-
-
-def _rate(values: np.ndarray, eta: float) -> EstimateWithCI:
-    """Exceedance rate ``P(value >= eta)`` of a sample, with its Wilson interval."""
-    trials = values.shape[0]
-    count = int(np.count_nonzero(values >= eta))
-    return EstimateWithCI(count / trials, wilson_interval(count, trials), trials)
 
 
 class _ChunkMaps(NamedTuple):
@@ -231,8 +200,8 @@ def _run_chunk(cfg, model, names, span, master_seed, with_lam):
     }
     lam = None
     if with_lam:
-        l1, l2 = eig2_desc(psi0)
-        l3, l4 = eig2_desc(psi1)
+        l1, l2 = _eig2(*psi0.reshape(-1, 4).T)
+        l3, l4 = _eig2(*psi1.reshape(-1, 4).T)
         lam = np.stack([l1, l2, l3, l4], axis=-1)
     return start, values, lam
 
@@ -329,52 +298,46 @@ def _mis_job(cfg: scenario.ScenarioConfig, trials: int, master_seed: int) -> _Jo
     return _Job(cfg, [], trials, master_seed, with_lam=True)
 
 
-def detector_samples(plan: TrialPlan) -> np.ndarray:
-    """Per-trial values of ``plan.detector`` under ``plan.scenario``."""
-    name = _statistic_name(plan.detector)
-    return statistic_samples(
-        plan.scenario, name, plan.trials, plan.master_seed, plan.workers
-    )[name]
+def _sample(values) -> np.ndarray:
+    values = np.asarray(values)
+    if values.ndim != 1 or values.size == 0:
+        raise ValueError(f"expected a nonempty 1-D sample, got shape {values.shape}")
+    return values
 
 
-def _order_statistic_threshold(sorted_values: np.ndarray, target_pfa: float):
-    trials = sorted_values.shape[0]
-    rank = math.ceil((1.0 - target_pfa) * trials)
-    if rank <= 0:
-        return -np.inf, trials
-    eta = float(sorted_values[rank - 1])
-    exceed = trials - int(np.searchsorted(sorted_values, eta, side="left"))
-    return eta, exceed
+def _order_statistic_threshold(sorted_values: np.ndarray, target_pfa: float) -> float:
+    """The ``ceil((1 - pfa) * trials)``-th order statistic; ``-inf`` at rank 0."""
+    rank = math.ceil((1.0 - target_pfa) * sorted_values.shape[0])
+    return float(sorted_values[rank - 1]) if rank > 0 else -np.inf
 
 
-def calibrate_threshold(plan: TrialPlan, target_pfa: float) -> CalibrationResult:
-    """Threshold as the ``ceil((1 - pfa) * trials)``-th H0 order statistic."""
+def calibrate_threshold(values, target_pfa: float) -> float:
+    """Threshold as the ``ceil((1 - pfa) * trials)``-th order statistic.
+
+    ``values`` is an H0 sample of one statistic, as
+    ``statistic_samples(cfg, name, trials, seed)[name]`` returns it.
+    """
+    values = _sample(values)
     if not 0.0 < target_pfa <= 1.0:
         raise ValueError("target_pfa must be in (0, 1]")
-    if plan.scenario.hypothesis != "H0":
-        raise ValueError("threshold calibration requires an H0 scenario")
-    if plan.trials * target_pfa < 100.0:
+    if values.size * target_pfa < 100.0:
         warnings.warn(
-            f"{plan.trials} trials is thin for Pfa = {target_pfa:g}; "
+            f"{values.size} trials is thin for Pfa = {target_pfa:g}; "
             "the rule of thumb is trials >= 100 / Pfa",
             stacklevel=2,
         )
-    values = np.sort(detector_samples(plan))
-    eta, exceed = _order_statistic_threshold(values, target_pfa)
-    return CalibrationResult(
-        threshold=eta,
-        target_pfa=target_pfa,
-        achieved_pfa_ci=wilson_interval(exceed, plan.trials),
-        trials=plan.trials,
-    )
+    return _order_statistic_threshold(np.sort(values), target_pfa)
 
 
-def estimate_rate(plan: TrialPlan, eta: float) -> EstimateWithCI:
-    """Exceedance rate ``P(statistic >= eta)`` with its Wilson interval.
+def estimate_rate(values, eta: float) -> EstimateWithCI:
+    """Exceedance rate ``P(value >= eta)`` of a sample, with its Wilson interval.
 
-    Estimates Pfa under H0 plans and Pd under H1 plans.
+    Estimates Pfa on an H0 sample and Pd on an H1 sample.
     """
-    return _rate(detector_samples(plan), eta)
+    values = _sample(values)
+    trials = values.shape[0]
+    count = int(np.count_nonzero(values >= eta))
+    return EstimateWithCI(count / trials, wilson_interval(count, trials), trials)
 
 
 @dataclass(frozen=True)
@@ -448,15 +411,15 @@ def cfar_sweep(
             cell_jobs.append(len(jobs) - 1)
     samples = _collect(jobs, workers)
 
-    thresholds = {}
-    for name in names:
-        eta, _ = _order_statistic_threshold(np.sort(samples[0][0][name]), target_pfa)
-        thresholds[name] = eta
+    thresholds = {
+        name: _order_statistic_threshold(np.sort(samples[0][0][name]), target_pfa)
+        for name in names
+    }
 
     cells = []
     for name in names:
         for (g, r), job_idx in zip(grid, cell_jobs):
-            est = _rate(samples[job_idx][0][name], thresholds[name])
+            est = estimate_rate(samples[job_idx][0][name], thresholds[name])
             band = binomial_band(target_pfa, est.n)
             cells.append(CfarCell(name, g, r, est, abs(est.point - target_pfa) <= band))
     return CfarSweepResult(
@@ -546,10 +509,9 @@ def roc_curve(
     ]
     (v0, _), (v1, _) = _collect(jobs, workers)
     v0, v1 = np.sort(v0[name]), v1[name]
-    points = []
-    for pfa in sorted(pfas):
-        eta, _ = _order_statistic_threshold(v0, pfa)
-        points.append(RocPoint(pfa, _rate(v1, eta)))
+    points = [
+        RocPoint(p, estimate_rate(v1, _order_statistic_threshold(v0, p))) for p in sorted(pfas)
+    ]
     pds = [p.pd.point for p in points]
     if any(b < a for a, b in zip(pds, pds[1:])):
         raise RuntimeError("detection probability is not monotone in pfa")

@@ -37,6 +37,14 @@ def _integral(value, what: str) -> int:
     raise ValueError(f"{what} must be an integer, not {value!r}")
 
 
+def _check_count(value, what: str) -> int:
+    """``value`` as an int; ``ValueError`` unless it is integral and >= 1."""
+    value = _integral(value, what)
+    if value < 1:
+        raise ValueError(f"{what} must be >= 1")
+    return value
+
+
 def steering(n: int, nu: float) -> SteeringVector:
     """Unit-norm persymmetric steering vector at normalized frequency ``nu``.
 

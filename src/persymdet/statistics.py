@@ -123,24 +123,17 @@ def assemble(data: CanonicalizedData) -> SufficientStatistic:
 
 
 def _eig2(p, b01, b10, q):
-    """:func:`eig2_desc` on entries; floats and arrays round alike."""
+    """Descending eigenvalues ``(lmax, lmin)`` of symmetric 2x2 matrices.
+
+    Closed form on the entries of ``[[p, b01], [b10, q]]``, as Python floats
+    or stacked arrays (floats and arrays round alike). The discriminant
+    ``(p - q)^2 + 4 b^2`` is clamped at zero, so round-off never produces
+    complex output; ties are returned as equal values with no ordering rule.
+    """
     b = 0.5 * (b01 + b10)
     tr = p + q
     root = np.sqrt(np.maximum((p - q) * (p - q) + 4.0 * b * b, 0.0))
     return 0.5 * (tr + root), 0.5 * (tr - root)
-
-
-def eig2_desc(a) -> tuple[np.ndarray, np.ndarray]:
-    """Descending eigenvalues of symmetric 2x2 matrices, closed form.
-
-    Accepts a single (2, 2) matrix or a stacked (..., 2, 2) array; returns
-    ``(lmax, lmin)`` with matching leading shape. The discriminant is
-    evaluated as ``(a - d)^2 + 4 b^2`` and clamped at zero, so round-off can
-    never produce complex output. Ties are returned as equal values with no
-    further ordering rule.
-    """
-    a = np.asarray(a, dtype=float)
-    return _eig2(a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1])
 
 
 def _trace_det(a, b, c, d):

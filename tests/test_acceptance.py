@@ -9,7 +9,6 @@ import pytest
 
 from persymdet import (
     ScenarioConfig,
-    TrialPlan,
     act,
     act_scale,
     alpha_for_sinr,
@@ -25,6 +24,7 @@ from persymdet import (
     rao,
     sample_group_element,
     sinr,
+    statistic_samples,
     steering,
     two_step_glr,
     wald,
@@ -211,18 +211,12 @@ def test_criterion_6_induced_invariant():
             n=N, k=K, rho=v["rho"], gamma=v["gamma"], cnr_db=10.0, nu=0.1,
             hypothesis="H1", alpha=alpha,
         )
-        cal = calibrate_threshold(
-            TrialPlan(scenario=h0, detector="glr", trials=600_000,
-                      master_seed=6001 + i, workers=4),
+        eta = calibrate_threshold(
+            statistic_samples(h0, "glr", 600_000, 6001 + i, workers=4)["glr"],
             target_pfa=1e-2,
         )
-        pds.append(
-            estimate_rate(
-                TrialPlan(scenario=h1, detector="glr", trials=100_000,
-                          master_seed=6101 + i, workers=4),
-                cal.threshold,
-            )
-        )
+        h1_values = statistic_samples(h1, "glr", 100_000, 6101 + i, workers=4)["glr"]
+        pds.append(estimate_rate(h1_values, eta))
     gap = abs(pds[0].point - pds[1].point)
     widths = sum(ci[1] - ci[0] for ci in (pds[0].ci95, pds[1].ci95))
     ok = gap < widths

@@ -33,6 +33,12 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample_group_element(6, rng, spread=0.0)
 
+    @pytest.mark.parametrize("spread", [-1.0, float("nan"), float("inf")])
+    def test_spread_outside_positive_reals_rejected(self, rng, spread):
+        # nan used to reach LAPACK (SVD did not converge), inf to exhaust the attempts
+        with pytest.raises(ValueError, match="spread must be positive and finite"):
+            sample_group_element(6, rng, spread=spread)
+
     def test_orthogonal_u(self, rng):
         for _ in range(50):
             e = sample_group_element(6, rng)
@@ -190,6 +196,18 @@ class TestInvarianceReport:
         stat = stat_factory(0)
         assert invariance_report(stat, lambda s: 1.0, 20, rng) == 0.0
 
+    @pytest.mark.parametrize("count, message", [
+        (0, "n_elements must be >= 1"),
+        (-3, "n_elements must be >= 1"),
+        (1.9, "n_elements must be an integer"),
+    ])
+    def test_element_count_checked(self, stat_factory, rng, count, message):
+        # the trace is not invariant, so a run of no elements would pass it
+        stat = stat_factory(0)
+        fn = lambda s: np.trace(compute_psi(s).psi0)
+        with pytest.raises(ValueError, match=message):
+            invariance_report(stat, fn, count, rng)
+
     def test_detectors_are_invariant(self, stat_factory, rng):
         stat = stat_factory(2)
         for name, tol in (("glr", 1e-8), ("2s-glr", 1e-8), ("wald", 1e-8), ("rao", 1e-6)):
@@ -212,3 +230,11 @@ class TestDiscrimination:
     def test_zero_pairs_rejected(self, rng):
         with pytest.raises(ValueError):
             discrimination_check(rng, 0)
+
+    @pytest.mark.parametrize("count, message", [
+        (-2, "n_pairs must be >= 1"),
+        (2.5, "n_pairs must be an integer"),
+    ])
+    def test_pair_count_checked(self, rng, count, message):
+        with pytest.raises(ValueError, match=message):
+            discrimination_check(rng, count)

@@ -12,7 +12,6 @@ from persymdet import (
     DegenerateStatisticError,
     SingularSecondaryError,
     ScenarioConfig,
-    TrialPlan,
     ancillarity_check,
     as_hypothesis,
     assemble,
@@ -22,7 +21,6 @@ from persymdet import (
     canonicalize,
     cfar_sweep,
     compute_psi,
-    detector_samples,
     estimate_rate,
     mis_samples,
     roc_curve,
@@ -48,6 +46,22 @@ class TestWilson:
     def test_contains_point(self):
         lo, hi = wilson_interval(13, 100)
         assert lo <= 0.13 <= hi
+
+    @pytest.mark.parametrize("successes", [-1, 11, float("nan")])
+    def test_successes_outside_trials_rejected(self, successes):
+        with pytest.raises(ValueError, match="^successes must lie in"):
+            wilson_interval(successes, 10)
+
+    def test_no_trials_rejected(self):
+        with pytest.raises(ValueError, match="^trials must be >= 1"):
+            wilson_interval(0, 0)
+        with pytest.raises(ValueError, match="^trials must be >= 1"):
+            binomial_band(0.1, 0)
+
+    @pytest.mark.parametrize("target", [-0.1, 1.5, float("nan")])
+    def test_band_target_outside_unit_interval_rejected(self, target):
+        with pytest.raises(ValueError, match="^target must lie in"):
+            binomial_band(target, 100)
 
 
 class TestEngine:
@@ -343,7 +357,6 @@ class TestValidation:
             lambda: cfar_sweep("glr", CFG, [1.0], [0.0], 0.1, 100, 1, calibration_trials=trials),
             lambda: roc_curve("glr", CFG, 5.0, [0.1], trials, 1),
             lambda: ancillarity_check(CFG, self.H1, trials, 1),
-            lambda: TrialPlan(scenario=CFG, detector="glr", trials=trials, master_seed=1),
         ]
         for call in calls:
             with pytest.raises(ValueError, match="trials must be >= 1"):
@@ -355,8 +368,6 @@ class TestValidation:
             statistic_samples(CFG, "glr", 10, 1, workers=workers)
         with pytest.raises(ValueError, match="workers must be >= 1"):
             mis_samples(CFG, 10, 1, workers=workers)
-        with pytest.raises(ValueError, match="workers must be >= 1"):
-            TrialPlan(scenario=CFG, detector="glr", trials=10, master_seed=1, workers=workers)
 
     @pytest.mark.parametrize("value", [100.7, 0.5, "100", None, float("nan"), float("inf")])
     def test_non_integral_counts_rejected(self, value):
@@ -366,11 +377,9 @@ class TestValidation:
                 lambda: mis_samples(CFG, value, 1),
                 lambda: cfar_sweep("glr", CFG, [1.0], [0.0], 0.1, value, 1),
                 lambda: roc_curve("glr", CFG, 5.0, [0.1], value, 1),
-                lambda: TrialPlan(scenario=CFG, detector="glr", trials=value, master_seed=1),
             ],
             "workers": [
                 lambda: statistic_samples(CFG, "glr", 10, 1, workers=value),
-                lambda: TrialPlan(CFG, "glr", 10, 1, workers=value),
             ],
             # None is the default: calibrate on ``trials``
             "calibration_trials": [] if value is None else [
@@ -387,51 +396,52 @@ class TestValidation:
         out = statistic_samples(CFG, "glr", value, 1, workers=value)["glr"]
         assert out.shape == (8,)
         assert np.array_equal(out, statistic_samples(CFG, "glr", 8, 1)["glr"])
-        plan = TrialPlan(CFG, "glr", value, 1, workers=value)
-        assert type(plan.trials) is int and type(plan.workers) is int
-        assert np.array_equal(detector_samples(plan), out)
 
 
 class TestCalibration:
     def test_median_at_half(self):
-        plan = TrialPlan(scenario=CFG, detector="2s-glr", trials=1001, master_seed=3)
-        result = calibrate_threshold(plan, 0.5)
-        values = detector_samples(plan)
-        assert result.threshold == np.median(values)
+        values = statistic_samples(CFG, "2s-glr", 1001, 3)["2s-glr"]
+        assert calibrate_threshold(values, 0.5) == np.median(values)
 
     def test_thin_sample_warns(self):
-        plan = TrialPlan(scenario=CFG, detector="2s-glr", trials=500, master_seed=3)
+        values = statistic_samples(CFG, "2s-glr", 500, 3)["2s-glr"]
         with pytest.warns(UserWarning, match="rule of thumb"):
-            calibrate_threshold(plan, 0.01)
+            calibrate_threshold(values, 0.01)
 
     def test_worker_invariance(self):
-        p1 = TrialPlan(scenario=CFG, detector="glr", trials=4_000, master_seed=9, workers=1)
-        p4 = TrialPlan(scenario=CFG, detector="glr", trials=4_000, master_seed=9, workers=4)
-        assert calibrate_threshold(p1, 0.05).threshold == calibrate_threshold(p4, 0.05).threshold
+        v1 = statistic_samples(CFG, "glr", 4_000, 9, workers=1)["glr"]
+        v4 = statistic_samples(CFG, "glr", 4_000, 9, workers=4)["glr"]
+        assert calibrate_threshold(v1, 0.05) == calibrate_threshold(v4, 0.05)
 
     def test_threshold_monotone_in_pfa(self):
-        plan = TrialPlan(scenario=CFG, detector="wald", trials=20_000, master_seed=4)
-        etas = [calibrate_threshold(plan, pfa).threshold for pfa in (0.005, 0.02, 0.1, 0.3, 0.7)]
+        values = statistic_samples(CFG, "wald", 20_000, 4)["wald"]
+        etas = [calibrate_threshold(values, pfa) for pfa in (0.005, 0.02, 0.1, 0.3, 0.7)]
         assert all(a >= b for a, b in zip(etas, etas[1:]))
 
-    def test_requires_h0(self):
-        h1 = ScenarioConfig(n=8, k=16, hypothesis="H1", sinr_db=10.0)
-        with pytest.raises(ValueError):
-            calibrate_threshold(TrialPlan(scenario=h1, detector="glr", trials=100, master_seed=0), 0.5)
-
     def test_ci_covers_target(self):
-        plan = TrialPlan(scenario=CFG, detector="glr", trials=40_000, master_seed=12)
-        result = calibrate_threshold(plan, 0.01)
-        fresh = TrialPlan(scenario=CFG, detector="glr", trials=40_000, master_seed=13)
-        est = estimate_rate(fresh, result.threshold)
+        eta = calibrate_threshold(statistic_samples(CFG, "glr", 40_000, 12)["glr"], 0.01)
+        est = estimate_rate(statistic_samples(CFG, "glr", 40_000, 13)["glr"], eta)
         assert est.ci95[0] <= 0.01 <= est.ci95[1]
+
+    @pytest.mark.parametrize("pfa", [0.0, -0.1, 1.5, float("nan")])
+    def test_target_pfa_outside_unit_interval_rejected(self, pfa):
+        with pytest.raises(ValueError, match="target_pfa"):
+            calibrate_threshold(np.arange(1000.0), pfa)
+
+
+@pytest.mark.parametrize("values", [np.array([]), np.ones((100, 2))], ids=["empty", "2-D"])
+def test_malformed_sample_rejected(values):
+    with pytest.raises(ValueError, match="nonempty 1-D sample"):
+        calibrate_threshold(values, 0.5)
+    with pytest.raises(ValueError, match="nonempty 1-D sample"):
+        estimate_rate(values, 0.0)
 
 
 class TestEstimateRate:
     def test_infinite_thresholds(self):
-        plan = TrialPlan(scenario=CFG, detector="glr", trials=500, master_seed=1)
-        assert estimate_rate(plan, -np.inf).point == 1.0
-        assert estimate_rate(plan, np.inf).point == 0.0
+        values = statistic_samples(CFG, "glr", 500, 1)["glr"]
+        assert estimate_rate(values, -np.inf).point == 1.0
+        assert estimate_rate(values, np.inf).point == 0.0
 
 
 class TestCfarSweep:
@@ -462,7 +472,7 @@ class TestCfarSweep:
         with pytest.raises(ValueError):
             cfar_sweep("glr", CFG, [], [0.0], 0.05, 100, seed=0)
 
-    def test_matches_plan_api(self):
+    def test_matches_sample_api(self):
         # the sweep's threshold is calibrate_threshold on job 0 and each other
         # cell is estimate_rate on job 1 + its grid index
         name, pfa, trials, n_cal, seed = "wald", 0.05, 2_000, 4_000, 17
@@ -471,13 +481,15 @@ class TestCfarSweep:
             warnings.simplefilter("error")  # trials * pfa >= 100 everywhere
             result = cfar_sweep(name, CFG, gammas, rhos, pfa, trials, seed, calibration_trials=n_cal)
             ref_cfg = replace(CFG, gamma=1.0, rho=rhos[0])
-            cal = calibrate_threshold(TrialPlan(ref_cfg, name, n_cal, derive_seed(seed, 0)), pfa)
-        assert result.thresholds[name] == cal.threshold
+            cal = statistic_samples(ref_cfg, name, n_cal, derive_seed(seed, 0))[name]
+            eta = calibrate_threshold(cal, pfa)
+        assert result.thresholds[name] == eta
         idx = 1  # (gamma 0.5, rho 0.8)
         cell = result.cells[idx]
         assert (cell.gamma, cell.rho) == (0.5, 0.8)
-        plan = TrialPlan(replace(CFG, gamma=0.5, rho=0.8), name, trials, derive_seed(seed, 1 + idx))
-        assert cell.estimate == estimate_rate(plan, cal.threshold)
+        cfg = replace(CFG, gamma=0.5, rho=0.8)
+        values = statistic_samples(cfg, name, trials, derive_seed(seed, 1 + idx))[name]
+        assert cell.estimate == estimate_rate(values, eta)
 
 
 class TestAncillarity:
@@ -526,7 +538,7 @@ class TestRoc:
         for w, s in zip(weak, strong):
             assert s.pd.point > w.pd.point
 
-    def test_point_matches_plan_api(self):
+    def test_point_matches_sample_api(self):
         # an ROC point is calibrate_threshold on the H0 sample (job 0) and
         # estimate_rate on the H1 sample (job 1)
         pfa, trials, seed, sinr_db = 0.05, 3_000, 23, 8.0
@@ -535,10 +547,11 @@ class TestRoc:
         h1 = as_hypothesis(CFG, "H1", sinr_db=sinr_db)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # trials * pfa >= 100
-            cal = calibrate_threshold(TrialPlan(h0, "rao", trials, derive_seed(seed, 0)), pfa)
+            cal = statistic_samples(h0, "rao", trials, derive_seed(seed, 0))["rao"]
+            eta = calibrate_threshold(cal, pfa)
         assert points[0].pfa == pfa
-        plan = TrialPlan(h1, "rao", trials, derive_seed(seed, 1))
-        assert points[0].pd == estimate_rate(plan, cal.threshold)
+        values = statistic_samples(h1, "rao", trials, derive_seed(seed, 1))["rao"]
+        assert points[0].pd == estimate_rate(values, eta)
 
     def test_invalid_pfa_grid(self):
         with pytest.raises(ValueError):

@@ -13,13 +13,12 @@ from persymdet import (
     build_transform,
     canonicalize,
     compute_psi,
-    eig2_desc,
     mis,
     sample_dataset,
     scale_estimates,
     steering,
 )
-from persymdet.statistics import _gamma_hat, _psi_batch
+from persymdet.statistics import _eig2, _gamma_hat, _psi_batch
 from persymdet.streams import derive_stream
 
 
@@ -126,19 +125,24 @@ class TestComputePsi:
             assert np.array_equal(psis.psi0, psi0[0]) and np.array_equal(psis.psi1, psi1[0])
 
 
+def _eig2_of(m):
+    """``_eig2`` on the entries of one (2, 2) or stacked (..., 2, 2) array."""
+    return _eig2(m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1])
+
+
 class TestEig2:
     def test_diagonal(self):
-        assert eig2_desc(np.diag([2.0, 1.0])) == (2.0, 1.0)
+        assert _eig2_of(np.diag([2.0, 1.0])) == (2.0, 1.0)
 
     def test_constant_row_sum(self):
-        assert eig2_desc(np.array([[2.0, 1.0], [1.0, 2.0]])) == (3.0, 1.0)
+        assert _eig2_of(np.array([[2.0, 1.0], [1.0, 2.0]])) == (3.0, 1.0)
 
     def test_against_eigensolver(self):
         gen = np.random.default_rng(11)
         for _ in range(500):
             a = gen.standard_normal((2, 2))
             m = a @ a.T
-            lmax, lmin = eig2_desc(m)
+            lmax, lmin = _eig2_of(m)
             ref = np.linalg.eigvalsh(m)
             scale = max(ref[1], 1.0)
             assert abs(lmax - ref[1]) < 1e-12 * scale
@@ -148,7 +152,7 @@ class TestEig2:
         gen = np.random.default_rng(5)
         a = gen.standard_normal((64, 2, 2))
         m = a @ np.swapaxes(a, 1, 2)
-        lmax, lmin = eig2_desc(m)
+        lmax, lmin = _eig2_of(m)
         for i in range(64):
             ref = np.linalg.eigvalsh(m[i])
             assert abs(lmax[i] - ref[1]) < 1e-12 * max(1.0, ref[1])
