@@ -27,7 +27,7 @@ from .detectors import _INTERLACING_SLACK, NEGATIVE_CONTROL, DetectorKind, _scal
 from .errors import PersymError
 from .group import factorization_deviation, invariance_report, sample_group_element
 from .montecarlo import _as_names, cfar_sweep, mis_samples, roc_curve
-from .scenario import ScenarioConfig, sample_dataset, steering
+from .scenario import ScenarioConfig, _check_count, sample_dataset, steering
 from .statistics import assemble, compute_psi, mis
 from .streams import derive_seed, derive_stream
 
@@ -66,7 +66,10 @@ class RunManifest:
 
     Besides what was run, it records how: the worker count and the
     ``environment`` (python, numpy, scipy and BLAS versions, CPU count) that
-    the duration depends on. None of it enters the CSV body.
+    the duration depends on, and the throughput: ``trials`` counts the Monte
+    Carlo trials drawn (calibration included, a reused reference cell once)
+    and ``trials_per_s`` is ``trials / duration_seconds``. None of it enters
+    the CSV body.
     """
 
     command: str
@@ -75,6 +78,8 @@ class RunManifest:
     workers: int
     version: str
     duration_seconds: float
+    trials: int
+    trials_per_s: float
     outputs: tuple
     environment: dict
 
@@ -114,14 +119,12 @@ def _numbers(value, what: str) -> list:
     return [_number(x, what) for x in value]
 
 
-def _integer(value, what: str) -> int:
-    """``value`` as an int; a number with a fractional part is a config error."""
-    if isinstance(value, int):
-        return value
-    number = _number(value, what)
-    if not number.is_integer():
-        raise _ConfigError(f"{what} must be an integer, not {value!r}")
-    return int(number)
+def _count(value, what: str) -> int:
+    """``value`` as a count by the library's rule; a config error otherwise."""
+    try:
+        return _check_count(value, what)
+    except ValueError as exc:
+        raise _ConfigError(str(exc)) from None
 
 
 def _detectors(raw: dict, default, many: bool):
@@ -136,14 +139,6 @@ def _detectors(raw: dict, default, many: bool):
     except ValueError as exc:
         raise _ConfigError(str(exc)) from None
     return value
-
-
-def _trials(raw: dict, default=None) -> int:
-    value = _require(raw, "trials") if default is None else raw.get("trials", default)
-    trials = _integer(value, "trials")
-    if trials < 1:
-        raise _ConfigError("trials must be >= 1")
-    return trials
 
 
 def _scenario_from(raw: dict, seed: int) -> ScenarioConfig:
@@ -163,8 +158,8 @@ def _scenario_from(raw: dict, seed: int) -> ScenarioConfig:
         hypothesis = "H1"
     try:
         return ScenarioConfig(
-            n=_integer(_require(raw, "n"), "n"),
-            k=_integer(_require(raw, "k"), "k"),
+            n=_require(raw, "n"),
+            k=_require(raw, "k"),
             rho=_number(raw.get("rho", 0.0), "rho"),
             doppler_fc=_number(raw.get("doppler_fc", 0.0), "doppler_fc"),
             cnr_db=_number(raw.get("cnr_db", 0.0), "cnr_db"),
@@ -208,14 +203,17 @@ def _environment() -> dict:
     }
 
 
-def _write_manifest(out_path, command, config, seed, workers, outputs, started) -> None:
+def _write_manifest(out_path, command, config, seed, workers, outputs, started, trials) -> None:
+    duration = time.monotonic() - started
     manifest = RunManifest(
         command=command,
         config=config,
         master_seed=seed,
         workers=workers,
         version=__version__,
-        duration_seconds=time.monotonic() - started,
+        duration_seconds=duration,
+        trials=trials,
+        trials_per_s=trials / duration,
         outputs=tuple(outputs),
         environment=_environment(),
     )
@@ -290,7 +288,7 @@ def cmd_invariance_check(config_path, out_path, seed, workers) -> int:
             "degenerate statistic: the MIS suites need n >= 3 (lambda4 "
             "vanishes identically for n = 2)"
         )
-    n_stats = _trials(raw, default=100)
+    n_stats = _count(raw.get("trials", 100), "trials")
     debug = raw.get("debug_noninvariant", False)
     if not isinstance(debug, bool):
         raise _ConfigError(f"debug_noninvariant must be true or false, not {debug!r}")
@@ -317,7 +315,9 @@ def cmd_invariance_check(config_path, out_path, seed, workers) -> int:
             json.dump(summary, fh, indent=2)
             fh.write("\n")
         # the suites run on the scalar API, which has no parallel path
-        _write_manifest(out_path, "invariance-check", raw, seed, 1, [out_path], started)
+        _write_manifest(
+            out_path, "invariance-check", raw, seed, 1, [out_path], started, n_stats
+        )
     return EXIT_OK if all_pass else EXIT_FAILURE
 
 
@@ -325,7 +325,7 @@ def cmd_cfar(config_path, out_path, seed, workers) -> int:
     started = time.monotonic()
     raw = _load_config(config_path)
     cfg = _scenario_from(raw, seed)
-    trials = _trials(raw)
+    trials = _count(_require(raw, "trials"), "trials")
     target_pfa = _number(_require(raw, "pfa"), "pfa")
     gamma_grid = _numbers(_require(raw, "gamma_grid"), "gamma_grid")
     rho_grid = _numbers(_require(raw, "rho_grid"), "rho_grid")
@@ -342,7 +342,11 @@ def cmd_cfar(config_path, out_path, seed, workers) -> int:
         for c in result.cells
     ]
     _write_csv(out_path, "detector,gamma,rho,pfa_hat,ci_lo,ci_hi,pass", rows)
-    _write_manifest(out_path, "cfar", raw, seed, workers, [out_path], started)
+    # calibration, then every cell but the reference, which reuses it
+    fresh = sum(not (g == 1.0 and r == rho_grid[0]) for g in gamma_grid for r in rho_grid)
+    _write_manifest(
+        out_path, "cfar", raw, seed, workers, [out_path], started, trials * (1 + fresh)
+    )
     n_fail = sum(not c.passed for c in result.cells)
     if n_fail:
         log.warning("%d of %d CFAR cells outside the 3-sigma band", n_fail, len(rows))
@@ -355,7 +359,7 @@ def cmd_roc(config_path, out_path, seed, workers) -> int:
     base = dict(raw)
     base.pop("sinr_db", None)  # roc drives the hypothesis itself
     cfg = _scenario_from(base, seed)
-    trials = _trials(raw)
+    trials = _count(_require(raw, "trials"), "trials")
     detector = _detectors(raw, DetectorKind.GLR.value, many=False)
     pfa_grid = _numbers(_require(raw, "pfa_grid"), "pfa_grid")
     if "sinr_grid" in raw:
@@ -382,7 +386,8 @@ def cmd_roc(config_path, out_path, seed, workers) -> int:
     except ValueError as exc:
         raise _ConfigError(str(exc)) from exc
     _write_csv(out_path, "detector,sinr_db,pfa,pd,ci_lo,ci_hi", rows)
-    _write_manifest(out_path, "roc", raw, seed, workers, [out_path], started)
+    drawn = 2 * trials * len(sinr_grid)  # an H0 and an H1 sample per SINR
+    _write_manifest(out_path, "roc", raw, seed, workers, [out_path], started, drawn)
     return EXIT_OK
 
 
@@ -390,7 +395,7 @@ def cmd_mis_sample(config_path, out_path, seed, workers) -> int:
     started = time.monotonic()
     raw = _load_config(config_path)
     cfg = _scenario_from(raw, seed)
-    trials = _trials(raw)
+    trials = _count(_require(raw, "trials"), "trials")
     t, lam = mis_samples(cfg, trials, seed, workers=workers)
     rows = (
         (i, cfg.hypothesis, t[i, 0], t[i, 1], t[i, 2],
@@ -402,7 +407,7 @@ def cmd_mis_sample(config_path, out_path, seed, workers) -> int:
         "trial,hypothesis,t1,t2,t3,lambda1,lambda2,lambda3,lambda4",
         rows,
     )
-    _write_manifest(out_path, "mis-sample", raw, seed, workers, [out_path], started)
+    _write_manifest(out_path, "mis-sample", raw, seed, workers, [out_path], started, trials)
     return EXIT_OK
 
 

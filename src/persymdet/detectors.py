@@ -14,7 +14,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DegenerateStatisticError, NearSingularDenominatorError
-from .statistics import MISVector, PsiPair, _gamma_hat, _trace_det
+from .statistics import MISVector, PsiPair, _any, _gamma_hat, _trace_det
 
 _RAO_DENOMINATOR_TOL = 1e-12
 #: Relative slack on the interlacing ``t1 >= t3 >= t2 >= 1`` of a computed ``t``.
@@ -65,7 +65,7 @@ def _values(name: str, e0, e1, k, n, index_base: int = 0):
         positive = positive[1:]
     for tr, which in positive:
         bad = tr <= 0.0
-        if np.count_nonzero(bad):
+        if _any(bad):
             raise DegenerateStatisticError(
                 f"instance {index_base + int(np.argmax(bad))}: Tr[{which}] is not positive"
             )
@@ -101,7 +101,7 @@ def _values(name: str, e0, e1, k, n, index_base: int = 0):
         )
         den = 1.0 - g0 * tr_d_inv
         bad = np.abs(den) <= _RAO_DENOMINATOR_TOL
-        if np.count_nonzero(bad):
+        if _any(bad):
             raise NearSingularDenominatorError(
                 f"instance {index_base + int(np.argmax(bad))}: Rao denominator is "
                 "numerically zero"

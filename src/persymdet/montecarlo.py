@@ -9,23 +9,29 @@ Trials are embarrassingly parallel. Each trial draws from its own
 counter-derived stream (see :mod:`persymdet.streams`), so every output is a
 pure function of ``(config, trials, master_seed)`` and independent of
 chunking or worker count. Heavy linear algebra is evaluated in vectorized
-chunks that work in canonical coordinates throughout: cached real maps take
+tasks that work in canonical coordinates throughout: cached real maps take
 each trial's normals straight to ``(Zp, S)``, and one batched solve against
 ``S22`` gives both quadratic forms. The public single-trial API runs the
 same psi kernel and detector formulas.
 
-A public call hands all of its samples (every grid cell of a CFAR sweep
-and its calibration sample, both hypotheses of an ROC curve or an
-ancillarity check) to one thread pool of ``workers`` threads as fixed
-``_CHUNK``-trial chunks, so chunks of different samples overlap. A chunk's
-per-trial draw loop alternates a Python rekey, which holds the GIL, with a
-normal fill, which releases it. When a trial draws few normals the two take
-about equally long, so concurrent draw loops would only trade the GIL on
-every trial; such loops take turns on one module lock, and the workers that
-wait for it sleep while the others run the GEMM, solve and detector stages.
-Larger trials are drawn and mapped in blocks of at most ``_DRAW_BLOCK``
-normals, so a chunk's draw holds its ``(count, N, N)`` scatter and a few
-block-sized buffers, however many normals its trials draw.
+A public call lines up the trials of all of its samples (every grid cell
+of a CFAR sweep and its calibration sample, both hypotheses of an ROC curve
+or an ancillarity check), in order, and cuts them into tasks of ``_CHUNK``
+trials. A task boundary may cross samples: a task draws each of its pieces
+from its own sample's stream and maps, then solves for psi and evaluates
+each statistic once over the stacked pieces, so small samples and tails
+share one pass. The plan depends only on the sample sizes, and samples that
+are multiples of ``_CHUNK`` are cut exactly as they would be alone. All
+tasks share one thread pool of ``workers`` threads. A per-trial draw loop
+alternates a Python rekey, which holds the GIL, with a normal fill, which
+releases it. When a trial draws few normals the two take about equally
+long, so concurrent draw loops would only trade the GIL on every trial;
+such loops take turns on one module lock, and the workers that wait for it
+sleep while the others run the GEMM, solve and detector stages. Larger
+trials are drawn and mapped in blocks of at most ``_DRAW_BLOCK`` normals,
+so a draw holds its ``(count, N, N)`` scatter and a few block-sized
+buffers, however many normals its trials draw; a task of several pieces
+adds one stack of at most ``_CHUNK`` scatters.
 """
 
 import math
@@ -42,13 +48,13 @@ import numpy as np
 
 from . import detectors, scenario
 from .detectors import DetectorKind
-from .errors import DegenerateStatisticError
+from .errors import DegenerateStatisticError, NearSingularDenominatorError
 from .scenario import _check_count
 from .statistics import _eig2, _psi_batch, check_support
 from .streams import derive_seed, stream_rekeyer
 
 _CHUNK = 4096  # fixed: results must not depend on worker count
-# Normals per draw block (8 MB) of a chunk that is not bound by the GIL.
+# Normals per draw block (8 MB) of a draw that is not bound by the GIL.
 _DRAW_BLOCK = 1 << 20
 # Draw loops whose trials draw fewer normals than this, 2N(K+1), are bound
 # by the GIL and run one at a time (N=8, K=16 draws 272; N=32, K=64 4160).
@@ -154,7 +160,7 @@ def _draw_batch(cfg, model: _ChunkMaps, start: int, count: int, master_seed: int
     secondary real/imag parts), buffered into one normal draw per trial, and
     maps the buffer straight to canonical coordinates with the real maps of
     ``model``. A trial that draws fewer than ``_GIL_BOUND_NORMALS`` normals
-    is GIL-bound: the whole chunk is one block, filled under one hold of
+    is GIL-bound: the whole batch is one block, filled under one hold of
     ``_DRAW_LOCK`` (see the module docstring). Otherwise the trials are
     filled and mapped to their scatters in blocks of ``_DRAW_BLOCK`` normals
     through one reused buffer. Either way the primaries are mapped by one
@@ -190,22 +196,6 @@ def _draw_batch(cfg, model: _ChunkMaps, start: int, count: int, master_seed: int
     return zp.reshape(count, n, 2), s
 
 
-def _run_chunk(cfg, model, names, span, master_seed, with_lam):
-    start, stop = span
-    zp, s = _draw_batch(cfg, model, start, stop - start, master_seed)
-    psi0, psi1 = _psi_batch(zp, s, index_base=start)
-    values = {
-        name: detectors._batch_values(name, psi0, psi1, cfg.k, cfg.n, index_base=start)
-        for name in names
-    }
-    lam = None
-    if with_lam:
-        l1, l2 = _eig2(*psi0.reshape(-1, 4).T)
-        l3, l4 = _eig2(*psi1.reshape(-1, 4).T)
-        lam = np.stack([l1, l2, l3, l4], axis=-1)
-    return start, values, lam
-
-
 class _Job(NamedTuple):
     """One sample of a public call: ``trials`` trials of ``cfg``."""
 
@@ -216,39 +206,124 @@ class _Job(NamedTuple):
     with_lam: bool = False
 
 
-def _collect(jobs: Sequence[_Job], workers: int) -> list:
-    """Run every chunk of every job; returns ``(values, lam)`` per job.
+class _Piece(NamedTuple):
+    """Trials ``start .. stop - 1`` of sample ``sample``, at row ``row`` of a task."""
 
-    All chunks share one pool of ``workers`` threads. Each writes its rows
-    straight into its job's output arrays, so results do not depend on the
-    order in which chunks finish.
+    sample: int
+    start: int
+    stop: int
+    row: int
+
+    @property
+    def rows(self) -> slice:
+        """The piece's rows in its task."""
+        return slice(self.row, self.row + self.stop - self.start)
+
+
+def _plan(sizes: Sequence[int]) -> list:
+    """Cut samples of ``sizes`` trials, in order, into tasks of ``_CHUNK`` rows.
+
+    Each task is a tuple of :class:`_Piece`; only the last task may be
+    short, and a task boundary may fall inside a sample or between two. The
+    plan depends on the sizes alone, and when every size is a multiple of
+    ``_CHUNK`` each task is one ``_CHUNK``-trial piece of one sample.
+    """
+    tasks, task, row = [], [], 0
+    for sample, size in enumerate(sizes):
+        start = 0
+        while start < size:
+            stop = min(size, start + _CHUNK - row)
+            task.append(_Piece(sample, start, stop, row))
+            row += stop - start
+            start = stop
+            if row == _CHUNK:
+                tasks.append(tuple(task))
+                task, row = [], 0
+    if task:
+        tasks.append(tuple(task))
+    return tasks
+
+
+def _evaluate(zp, s, job: _Job, index_base: int):
+    """Detector values (and eigenvalue quadruples) of stacked ``(Zp, S)``."""
+    k, n = job.cfg.k, job.cfg.n
+    psi0, psi1 = _psi_batch(zp, s, index_base=index_base)
+    values = {
+        name: detectors._batch_values(name, psi0, psi1, k, n, index_base=index_base)
+        for name in job.names
+    }
+    lam = None
+    if job.with_lam:
+        l1, l2 = _eig2(*psi0.reshape(-1, 4).T)
+        l3, l4 = _eig2(*psi1.reshape(-1, 4).T)
+        lam = np.stack([l1, l2, l3, l4], axis=-1)
+    return values, lam
+
+
+def _run_chunk(jobs: Sequence[_Job], models: Sequence[_ChunkMaps], pieces):
+    """One task: draw its pieces, stack them, evaluate the stack once.
+
+    Each piece is drawn by :func:`_draw_batch` with its own sample's maps,
+    master seed and trial indices. A lone piece is evaluated as drawn;
+    several are copied into one stack of at most ``_CHUNK`` rows. Returns
+    ``(values, lam)`` with one row per trial, in piece order.
+    """
+    def draw(p: _Piece):
+        cfg, seed = jobs[p.sample].cfg, jobs[p.sample].master_seed
+        return _draw_batch(cfg, models[p.sample], p.start, p.stop - p.start, seed)
+
+    job = jobs[pieces[0].sample]
+    if len(pieces) == 1:
+        zp, s = draw(pieces[0])
+    else:
+        rows, n = pieces[-1].rows.stop, job.cfg.n
+        zp, s = np.empty((rows, n, 2)), np.empty((rows, n, n))
+        for p in pieces:
+            zp[p.rows], s[p.rows] = draw(p)
+    try:
+        return _evaluate(zp, s, job, pieces[0].start)
+    except (DegenerateStatisticError, NearSingularDenominatorError):
+        # a row of the stack is not a trial index: the first failing piece
+        # raises again on its own, naming the trial within its sample
+        for p in pieces:
+            _evaluate(zp[p.rows], s[p.rows], job, p.start)
+        raise
+
+
+def _collect(jobs: Sequence[_Job], workers: int) -> list:
+    """Run every trial of every job; returns ``(values, lam)`` per job.
+
+    The jobs' trials are cut into tasks by :func:`_plan`, and all tasks
+    share one pool of ``workers`` threads. Each task writes its pieces'
+    rows straight into their jobs' output arrays, so results do not depend
+    on the order in which tasks finish.
     """
     workers = _check_count(workers, "workers")
-    results, tasks = [], []
+    shared = {(job.cfg.n, job.cfg.k, tuple(job.names), job.with_lam) for job in jobs}
+    assert len(shared) == 1, "a call's samples share n, k, names and with_lam"
+    results, models, sizes = [], [], []
     for job in jobs:
         trials = _check_count(job.trials, "trials")
         check_support(job.cfg.n, job.cfg.k)
-        model = _chunk_maps(job.cfg)
+        models.append(_chunk_maps(job.cfg))
+        sizes.append(trials)
         out = {name: np.empty(trials) for name in job.names}
-        lam = np.empty((trials, 4)) if job.with_lam else None
-        results.append((out, lam))
-        for a in range(0, trials, _CHUNK):
-            tasks.append((job, model, (a, min(a + _CHUNK, trials)), out, lam))
+        results.append((out, np.empty((trials, 4)) if job.with_lam else None))
+    tasks = _plan(sizes)
 
-    def work(task):
-        job, model, span, out, lam = task
-        start, values, lam_chunk = _run_chunk(
-            job.cfg, model, job.names, span, job.master_seed, job.with_lam
-        )
-        for name, arr in values.items():
-            out[name][start : start + arr.shape[0]] = arr
-        if job.with_lam:
-            lam[start : start + lam_chunk.shape[0]] = lam_chunk
+    def work(pieces):
+        values, lam = _run_chunk(jobs, models, pieces)
+        for p in pieces:
+            out, out_lam = results[p.sample]
+            for name, arr in values.items():
+                out[name][p.start : p.stop] = arr[p.rows]
+            if out_lam is not None:
+                out_lam[p.start : p.stop] = lam[p.rows]
 
     if workers > 1 and len(tasks) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            # map re-raises the first failing chunk in submission order, as
-            # the serial loop does, and cancels the chunks not yet started
+            # map re-raises the first failing task in submission order, as
+            # the serial loop does, and cancels the tasks not yet started
             for _ in pool.map(work, tasks):
                 pass
     else:

@@ -29,9 +29,13 @@ _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
 
 def _integral(value, what: str) -> int:
-    """``value`` as an int; ``ValueError`` naming ``what`` unless it is integral."""
-    if isinstance(value, numbers.Integral) or (
-        isinstance(value, numbers.Real) and float(value).is_integer()
+    """``value`` as an int; ``ValueError`` naming ``what`` unless it is integral.
+
+    A bool is not a count, and neither is a string of digits.
+    """
+    if not isinstance(value, bool) and (
+        isinstance(value, numbers.Integral)
+        or (isinstance(value, numbers.Real) and float(value).is_integer())
     ):
         return int(value)
     raise ValueError(f"{what} must be an integer, not {value!r}")

@@ -12,6 +12,7 @@ maximum-likelihood estimates of the secondary power scaling under each
 hypothesis.
 """
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -136,6 +137,17 @@ def _eig2(p, b01, b10, q):
     return 0.5 * (tr + root), 0.5 * (tr - root)
 
 
+def _any(bad) -> bool:
+    """Whether a guard fires: a scalar guard as is, an array if any entry is set.
+
+    The scalar path's guards are Python or NumPy bools, for which a NumPy
+    reduction would cost more than the formula it guards.
+    """
+    if isinstance(bad, (bool, np.bool_)):
+        return bool(bad)
+    return np.count_nonzero(bad) > 0
+
+
 def _trace_det(a, b, c, d):
     """Trace and determinant of ``[[a, b], [c, d]]``, on floats or arrays."""
     return a + d, a * d - b * c
@@ -240,7 +252,7 @@ def mis(psis: PsiPair) -> MISVector:
     relative to ``l1`` (always the case for N = 2, where psi1 has rank <= 1).
     """
     l1, l2, l3, l4 = psis.lam
-    if not np.isfinite([l1, l2, l3, l4]).all() or l4 <= 1e-12 * max(l1, 0.0):
+    if not all(map(math.isfinite, (l1, l2, l3, l4))) or l4 <= 1e-12 * max(l1, 0.0):
         raise DegenerateStatisticError(
             f"smallest eigenvalue is degenerate: lambda = ({l1:.6g}, {l2:.6g}, "
             f"{l3:.6g}, {l4:.6g})"
@@ -261,7 +273,7 @@ def _gamma_hat(tr, det, k: int, n: int):
     if c <= 0:
         raise ValueError(f"scale estimation requires K + 1 > N (K={k}, N={n})")
     d = 2 * (k + 1) - n
-    if np.count_nonzero(tr <= 0.0):
+    if _any(tr <= 0.0):
         raise DegenerateStatisticError("Tr[psi] must be positive for scale estimation")
     ctr = c * tr
     beta = np.sqrt(ctr * ctr + (4.0 * n * d) * np.maximum(det, 0.0))

@@ -294,6 +294,27 @@ class TestConfigHandling:
         assert main(["invariance-check", "--config", cfg]) == 0
 
 
+@pytest.mark.parametrize(
+    "command, payload, drawn",
+    [
+        # a 2 x 2 grid holding the reference cell (gamma = 1, first rho):
+        # calibration plus the three other cells; the reference reuses it
+        ("cfar", TestCfar.CFG, 2000 + 2000 * (4 - 1)),
+        # an H0 and an H1 sample per SINR
+        ("roc", {**TestRoc.CFG, "trials": 100, "sinr_grid": [5.0, 15.0]}, 2 * 2 * 100),
+        ("mis-sample", {**BASE, "trials": 40}, 40),
+        ("invariance-check", {**BASE, "trials": 3}, 3),
+    ],
+)
+def test_manifest_records_trials_drawn(tmp_path, command, payload, drawn):
+    cfg = _write(tmp_path / "c.json", payload)
+    out = tmp_path / "x.out"
+    main([command, "--config", cfg, "--out", str(out), "--seed", "3"])
+    manifest = json.loads((tmp_path / "x.out.manifest.json").read_text())
+    assert manifest["trials"] == drawn
+    assert manifest["trials_per_s"] == drawn / manifest["duration_seconds"]
+
+
 # every numeric config field of each command, and the base config it is set in
 _NUMERIC_FIELDS = {
     "invariance-check": ({**BASE, "trials": 5}, ("n", "k", "rho", "doppler_fc",
@@ -311,7 +332,7 @@ def _bad_values(field):
     if field in _GRIDS:
         return (5, "abc", ["x"], [None])
     if field in _COUNTS:
-        return ("abc", None, [1.0], 8.7, "8.5")
+        return ("abc", None, [1.0], 8.7, "8.5", "8", "50", True)
     return ("abc", None, [1.0])
 
 

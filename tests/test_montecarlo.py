@@ -197,7 +197,7 @@ class TestTraceEntryPoints:
 
     def test_shared_pool_sweep_counts(self, monkeypatch):
         # one cfar_sweep on a shared pool: one rekey per trial of each job,
-        # one _run_chunk and one _draw_batch call per chunk
+        # one _run_chunk call per task and one _draw_batch call per piece
         rekeys, run_chunks, draws = [], [], []
         real_rekeyer = streams.stream_rekeyer
         real_run_chunk = montecarlo._run_chunk
@@ -212,9 +212,11 @@ class TestTraceEntryPoints:
 
             return counted
 
-        def run_chunk(cfg, model, names, span, master_seed, with_lam):
-            run_chunks.append((master_seed, span))
-            return real_run_chunk(cfg, model, names, span, master_seed, with_lam)
+        def run_chunk(jobs, models, pieces):
+            run_chunks.append(
+                [(jobs[p.sample].master_seed, (p.start, p.stop)) for p in pieces]
+            )
+            return real_run_chunk(jobs, models, pieces)
 
         def draw(cfg, model, start, count, master_seed):
             draws.append((master_seed, (start, start + count)))
@@ -232,17 +234,23 @@ class TestTraceEntryPoints:
         ]
         expected_rekeys = Counter((s, i) for s, n in jobs for i in range(n))
         assert Counter(rekeys) == expected_rekeys
-        chunk = montecarlo._CHUNK
-        expected_chunks = sorted(
-            (s, (a, min(a + chunk, n))) for s, n in jobs for a in range(0, n, chunk)
-        )
-        assert sorted(run_chunks) == expected_chunks
-        assert sorted(draws) == expected_chunks
-
+        # 19 500 trials in job order, cut every 4096: five tasks, eight pieces
+        s0, s1, s2, s3 = (s for s, _ in jobs)
+        expected_tasks = [
+            [(s0, (0, 4096))],
+            [(s0, (4096, 4500)), (s1, (0, 3692))],
+            [(s1, (3692, 5000)), (s2, (0, 2788))],
+            [(s2, (2788, 5000)), (s3, (0, 1884))],
+            [(s3, (1884, 5000))],
+        ]
+        assert montecarlo._CHUNK == 4096
+        assert sorted(run_chunks) == sorted(expected_tasks)
+        assert sorted(draws) == sorted(piece for task in expected_tasks for piece in task)
 
     def test_one_psi_and_one_detector_call_per_chunk(self, monkeypatch):
         # the traced benchmark times psi as montecarlo._psi_batch and each
-        # statistic as detectors._batch_values inside every _run_chunk
+        # statistic as detectors._batch_values inside every _run_chunk,
+        # however many pieces the task stacks
         local, calls = threading.local(), []
         real_run_chunk = montecarlo._run_chunk
         real_psi = montecarlo._psi_batch
@@ -268,8 +276,118 @@ class TestTraceEntryPoints:
         names = list(detectors.STATISTIC_NAMES)
         cfar_sweep(names, CFG, [0.5, 1.0], [0.0, 0.9], 0.05, 5_000, 7,
                    calibration_trials=4_500, workers=2)
-        assert len(calls) == 4 * 2  # calibration and three cells, two chunks each
+        assert len(calls) == 5  # calibration and three cells: 19 500 trials
         assert all(sorted(c) == sorted(["psi"] + names) for c in calls)
+
+
+def _per_sample_plan(sizes):
+    """Each sample cut into ``_CHUNK``-trial tasks of its own, as if run alone."""
+    chunk = montecarlo._CHUNK
+    return [
+        (montecarlo._Piece(j, a, min(a + chunk, size), 0),)
+        for j, size in enumerate(sizes)
+        for a in range(0, size, chunk)
+    ]
+
+
+class TestTaskPlan:
+    """Tasks of ``_CHUNK`` rows may span samples; no output may notice."""
+
+    @staticmethod
+    def _flatten(tasks):
+        return [(p.sample, p.start, p.stop) for task in tasks for p in task]
+
+    @pytest.mark.parametrize(
+        "sizes", [[1], [3, 7], [4095, 1, 4097], [5000] * 3 + [4500], [1] * 9, [8192, 3]]
+    )
+    def test_tasks_cover_every_trial_once_in_order(self, sizes):
+        chunk = montecarlo._CHUNK
+        tasks = montecarlo._plan(sizes)
+        assert tasks == montecarlo._plan(list(sizes))
+        assert len(tasks) == -(-sum(sizes) // chunk)
+        for task in tasks:
+            assert [p.row for p in task] == [sum(q.stop - q.start for q in task[:i])
+                                             for i in range(len(task))]
+            assert all(p.stop > p.start for p in task)
+        assert all(task[-1].rows.stop == chunk for task in tasks[:-1])
+        # the pieces of a sample are consecutive and cover it from 0 to its size
+        merged = {}
+        for sample, start, stop in self._flatten(tasks):
+            assert merged.get(sample, 0) == start
+            merged[sample] = stop
+        assert merged == dict(enumerate(sizes))
+
+    @pytest.mark.parametrize("sizes", [[4096], [8192] * 9, [8192, 8192], [4096, 12288, 4096]])
+    def test_multiples_of_chunk_are_cut_as_alone(self, sizes):
+        assert montecarlo._plan(sizes) == _per_sample_plan(sizes)
+
+    def test_full_cfar_call_plan(self):
+        # perfbench's cfar-n8 call: calibration and 8 cells of 8192 trials
+        tasks = montecarlo._plan([8192] * 9)
+        assert len(tasks) == 18 and all(len(task) == 1 for task in tasks)
+        # its smallest call: nine one-trial samples in one task
+        assert [len(task) for task in montecarlo._plan([1] * 9)] == [9]
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_plan_does_not_depend_on_workers(self, monkeypatch, workers):
+        seen = []
+        real_run_chunk = montecarlo._run_chunk
+
+        def run_chunk(jobs, models, pieces):
+            seen.append(pieces)
+            return real_run_chunk(jobs, models, pieces)
+
+        monkeypatch.setattr(montecarlo, "_run_chunk", run_chunk)
+        cfar_sweep("glr", CFG, [0.5, 1.0], [0.0], 0.05, 3000, 1,
+                   calibration_trials=2000, workers=workers)
+        assert sorted(seen) == montecarlo._plan([2000, 3000])
+
+    SIZES = [1, 3, 4095, 4097, 5000]
+    H1 = ScenarioConfig(n=8, k=16, rho=0.5, cnr_db=5.0, nu=0.1, hypothesis="H1",
+                        sinr_db=10.0)
+
+    def _calls(self, size, workers):
+        names = list(detectors.STATISTIC_NAMES)
+        samples = statistic_samples(CFG, names, size, 21, workers=workers)
+        t, lam = mis_samples(CFG, size, 22, workers=workers)
+        return (
+            [samples[name] for name in names],
+            [t, lam],
+            cfar_sweep(names, CFG, [0.5, 1.0], [0.0, 0.9], 0.05, size, 23,
+                       calibration_trials=size + 2, workers=workers),
+            roc_curve("rao", CFG, 8.0, [0.1, 1.0], size, 24, workers=workers),
+            ancillarity_check(CFG, self.H1, size, 25, workers=workers),
+        )
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_bit_identical_to_per_sample_reference(self, monkeypatch, size):
+        with monkeypatch.context() as m:
+            m.setattr(montecarlo, "_plan", _per_sample_plan)
+            reference = self._calls(size, 1)
+        for workers in (1, 2, 3):
+            got = self._calls(size, workers)
+            for arrays, ref_arrays in zip(got[:2], reference[:2]):
+                for a, b in zip(arrays, ref_arrays):
+                    assert a.tobytes() == b.tobytes()
+            assert got[2:] == reference[2:]
+
+    def test_error_names_trial_within_its_own_sample(self, monkeypatch):
+        # one task holds the calibration sample and the (0.5, 0.0) cell;
+        # trial 1 of the cell, row 4 of the stack, has a singular S22
+        real_draw = montecarlo._draw_batch
+        seed = 9
+        cell_seed = derive_seed(seed, 1)
+
+        def draw(cfg, model, start, count, master_seed):
+            zp, s = real_draw(cfg, model, start, count, master_seed)
+            if master_seed == cell_seed:
+                s[1 - start, 1:, 1:] = 0.0
+            return zp, s
+
+        monkeypatch.setattr(montecarlo, "_draw_batch", draw)
+        assert [len(t) for t in montecarlo._plan([3, 3])] == [2]
+        with pytest.raises(DegenerateStatisticError, match=r"^trial 1: scatter block S22"):
+            cfar_sweep("glr", CFG, [0.5, 1.0], [0.0], 0.05, 3, seed)
 
 
 class TestSharedPool:
@@ -390,6 +508,12 @@ class TestValidation:
             for call in field_calls:
                 with pytest.raises(ValueError, match=f"^{field} must be an integer"):
                     call()
+
+    def test_bool_counts_rejected(self):
+        with pytest.raises(ValueError, match="^trials must be an integer"):
+            mis_samples(CFG, True, 1)
+        with pytest.raises(ValueError, match="^workers must be an integer"):
+            statistic_samples(CFG, "glr", 4, 1, workers=True)
 
     @pytest.mark.parametrize("value", [8, np.int64(8), 8.0])
     def test_integral_counts_accepted(self, value):

@@ -100,6 +100,11 @@ class TestScenarioConfig:
         assert type(cfg.n) is int and type(cfg.k) is int
         assert cfg == ScenarioConfig(n=8, k=16)
 
+    def test_bool_is_not_a_count(self):
+        for field in ("n", "k"):
+            with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+                ScenarioConfig(**{"n": 8, "k": 16, field: True})
+
     def test_as_hypothesis(self):
         base = ScenarioConfig(n=8, k=16, rho=0.4)
         h1 = as_hypothesis(base, "H1", sinr_db=12.0)
