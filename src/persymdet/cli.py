@@ -342,10 +342,8 @@ def cmd_cfar(config_path, out_path, seed, workers) -> int:
         for c in result.cells
     ]
     _write_csv(out_path, "detector,gamma,rho,pfa_hat,ci_lo,ci_hi,pass", rows)
-    # calibration, then every cell but the reference, which reuses it
-    fresh = sum(not (g == 1.0 and r == rho_grid[0]) for g in gamma_grid for r in rho_grid)
     _write_manifest(
-        out_path, "cfar", raw, seed, workers, [out_path], started, trials * (1 + fresh)
+        out_path, "cfar", raw, seed, workers, [out_path], started, result.trials_drawn
     )
     n_fail = sum(not c.passed for c in result.cells)
     if n_fail:

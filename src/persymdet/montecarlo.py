@@ -17,28 +17,27 @@ same psi kernel and detector formulas.
 A public call lines up the trials of all of its samples (every grid cell
 of a CFAR sweep and its calibration sample, both hypotheses of an ROC curve
 or an ancillarity check), in order, and cuts them into tasks of ``_CHUNK``
-trials. A task boundary may cross samples: a task draws each of its pieces
-from its own sample's stream and maps, then solves for psi and evaluates
-each statistic once over the stacked pieces, so small samples and tails
-share one pass. The plan depends only on the sample sizes, and samples that
-are multiples of ``_CHUNK`` are cut exactly as they would be alone. All
-tasks share one thread pool of ``workers`` threads. A per-trial draw loop
-alternates a Python rekey, which holds the GIL, with a normal fill, which
-releases it. When a trial draws few normals the two take about equally
-long, so concurrent draw loops would only trade the GIL on every trial;
-such loops take turns on one module lock, and the workers that wait for it
-sleep while the others run the GEMM, solve and detector stages. Larger
-trials are drawn and mapped in blocks of at most ``_DRAW_BLOCK`` normals,
-so a draw holds its ``(count, N, N)`` scatter and a few block-sized
-buffers, however many normals its trials draw; a task of several pieces
-adds one stack of at most ``_CHUNK`` scatters.
+trials; a task may cross samples. One draw per task fills its ``(Zp, S)``
+stack with one rekeyer, each piece from its own sample's streams and maps;
+the task then solves for psi and evaluates each statistic once over the
+stack, and writes its rows as one slice of each of the call's outputs,
+which hold all trials in plan order. The plan depends only on the sample
+sizes, and samples that are multiples of ``_CHUNK`` are cut exactly as they
+would be alone. All tasks share one thread pool of ``workers`` threads. A
+per-trial draw loop alternates a Python rekey, which holds the GIL, with a
+normal fill, which releases it. When a trial draws few normals the two take
+about equally long, so concurrent draw loops would only trade the GIL on
+every trial; such a task fills all of its pieces under one hold of a module
+lock, and the workers that wait for it sleep while the others run the GEMM,
+solve and detector stages. Larger trials are drawn and mapped in blocks of
+at most ``_DRAW_BLOCK`` normals, so a draw holds its ``(rows, N, N)``
+scatter and a few block-sized buffers, however many normals it draws.
 """
 
 import math
 import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import product
@@ -50,7 +49,7 @@ from . import detectors, scenario
 from .detectors import DetectorKind
 from .errors import DegenerateStatisticError, NearSingularDenominatorError
 from .scenario import _check_count
-from .statistics import _eig2, _psi_batch, check_support
+from .statistics import _any, _degenerate_lambda4, _eig2, _psi_batch, check_support
 from .streams import derive_seed, stream_rekeyer
 
 _CHUNK = 4096  # fixed: results must not depend on worker count
@@ -152,50 +151,6 @@ def _chunk_maps(cfg: scenario.ScenarioConfig) -> _ChunkMaps:
     return _ChunkMaps(prim, prim_mean, root_gamma * rows_a, root_gamma * rows_b)
 
 
-def _draw_batch(cfg, model: _ChunkMaps, start: int, count: int, master_seed: int):
-    """Canonical ``(Zp, S)`` for trials ``start .. start + count - 1``.
-
-    Consumes each trial's stream in the same order as
-    :func:`persymdet.scenario.sample_dataset` (primary real/imag parts, then
-    secondary real/imag parts), buffered into one normal draw per trial, and
-    maps the buffer straight to canonical coordinates with the real maps of
-    ``model``. A trial that draws fewer than ``_GIL_BOUND_NORMALS`` normals
-    is GIL-bound: the whole batch is one block, filled under one hold of
-    ``_DRAW_LOCK`` (see the module docstring). Otherwise the trials are
-    filled and mapped to their scatters in blocks of ``_DRAW_BLOCK`` normals
-    through one reused buffer. Either way the primaries are mapped by one
-    GEMM after the loop, so the result does not depend on the block size.
-    Returns ``zp`` of shape ``(count, N, 2)`` and the scatter
-    ``s`` of shape ``(count, N, N)``; tests pin both to
-    ``assemble(canonicalize(sample_dataset(...)))``.
-    """
-    n, k = cfg.n, cfg.k
-    kn = k * n
-    width = 2 * n + 2 * kn
-    gil_bound = width < _GIL_BOUND_NORMALS
-    block = count if gil_bound else max(1, min(count, _DRAW_BLOCK // width))
-    buf = np.empty((block, width))
-    prim = np.empty((count, 2 * n))
-    s = np.empty((count, n, n))
-    rekey = stream_rekeyer()
-    for a in range(0, count, block):
-        blk = buf[: min(block, count - a)]
-        m = blk.shape[0]
-        with _DRAW_LOCK if gil_bound else nullcontext():
-            for j in range(m):
-                rekey(master_seed, start + a + j).standard_normal(out=blk[j])
-        prim[a : a + m] = blk[:, : 2 * n]
-        zs = blk[:, 2 * n : 2 * n + kn].reshape(m, k, n) @ model.sec_re
-        zs += blk[:, 2 * n + kn :].reshape(m, k, n) @ model.sec_im
-        # rows [z1k_j | z2k_j] split into the 2K real secondaries z1k_j, z2k_j
-        zs = zs.reshape(m, 2 * k, n)
-        np.matmul(np.swapaxes(zs, 1, 2), zs, out=s[a : a + m])
-    zp = prim @ model.prim
-    if cfg.hypothesis == "H1":
-        zp += model.prim_mean
-    return zp.reshape(count, n, 2), s
-
-
 class _Job(NamedTuple):
     """One sample of a public call: ``trials`` trials of ``cfg``."""
 
@@ -244,6 +199,55 @@ def _plan(sizes: Sequence[int]) -> list:
     return tasks
 
 
+def _draw_batch(jobs: Sequence[_Job], models: Sequence[_ChunkMaps], pieces):
+    """Canonical ``(Zp, S)`` of a task's trials, stacked in piece order.
+
+    One rekeyer draws each piece with its own sample's seed and maps, each
+    trial's stream read in the order of :func:`scenario.sample_dataset` into
+    one normal buffer. A GIL-bound task (fewer than ``_GIL_BOUND_NORMALS``
+    normals a trial) fills all of its trials under one hold of ``_DRAW_LOCK``;
+    another fills each piece in ``_DRAW_BLOCK``-normal blocks of one buffer.
+    Each piece's primaries take one GEMM of their own, so no row depends on
+    the block size or the other pieces. Tests pin ``zp`` ``(rows, N, 2)`` and
+    ``s`` ``(rows, N, N)`` to ``assemble(canonicalize(sample_dataset(...)))``.
+    """
+    cfg = jobs[pieces[0].sample].cfg
+    n, k = cfg.n, cfg.k
+    kn, width = k * n, 2 * n * (k + 1)
+    rows = pieces[-1].rows.stop
+    gil_bound = width < _GIL_BOUND_NORMALS
+    block = rows if gil_bound else max(1, min(rows, _DRAW_BLOCK // width))
+    buf = np.empty((block, width))
+    prim, zp = np.empty((rows, 2 * n)), np.empty((rows, 2 * n))
+    s = np.empty((rows, n, n))
+    rekey = stream_rekeyer()
+
+    def fill(blk, master_seed: int, first: int):
+        for j in range(blk.shape[0]):
+            rekey(master_seed, first + j).standard_normal(out=blk[j])
+        return blk
+
+    if gil_bound:
+        with _DRAW_LOCK:
+            for p in pieces:
+                fill(buf[p.rows], jobs[p.sample].master_seed, p.start)
+    for p in pieces:
+        maps = models[p.sample]
+        for a in range(p.start, p.stop, block):
+            m, r = min(block, p.stop - a), p.row + a - p.start
+            blk = buf[r : r + m] if gil_bound else fill(buf[:m], jobs[p.sample].master_seed, a)
+            prim[r : r + m] = blk[:, : 2 * n]
+            zs = blk[:, 2 * n : 2 * n + kn].reshape(m, k, n) @ maps.sec_re
+            zs += blk[:, 2 * n + kn :].reshape(m, k, n) @ maps.sec_im
+            # rows [z1k_j | z2k_j] split into the 2K real secondaries z1k_j, z2k_j
+            zs = zs.reshape(m, 2 * k, n)
+            np.matmul(np.swapaxes(zs, 1, 2), zs, out=s[r : r + m])
+        np.matmul(prim[p.rows], maps.prim, out=zp[p.rows])
+        if jobs[p.sample].cfg.hypothesis == "H1":
+            zp[p.rows] += maps.prim_mean
+    return zp.reshape(rows, n, 2), s
+
+
 def _evaluate(zp, s, job: _Job, index_base: int):
     """Detector values (and eigenvalue quadruples) of stacked ``(Zp, S)``."""
     k, n = job.cfg.k, job.cfg.n
@@ -261,25 +265,12 @@ def _evaluate(zp, s, job: _Job, index_base: int):
 
 
 def _run_chunk(jobs: Sequence[_Job], models: Sequence[_ChunkMaps], pieces):
-    """One task: draw its pieces, stack them, evaluate the stack once.
+    """One task: draw its pieces as one stack and evaluate the stack once.
 
-    Each piece is drawn by :func:`_draw_batch` with its own sample's maps,
-    master seed and trial indices. A lone piece is evaluated as drawn;
-    several are copied into one stack of at most ``_CHUNK`` rows. Returns
-    ``(values, lam)`` with one row per trial, in piece order.
+    Returns ``(values, lam)`` with one row per trial, in piece order.
     """
-    def draw(p: _Piece):
-        cfg, seed = jobs[p.sample].cfg, jobs[p.sample].master_seed
-        return _draw_batch(cfg, models[p.sample], p.start, p.stop - p.start, seed)
-
+    zp, s = _draw_batch(jobs, models, pieces)
     job = jobs[pieces[0].sample]
-    if len(pieces) == 1:
-        zp, s = draw(pieces[0])
-    else:
-        rows, n = pieces[-1].rows.stop, job.cfg.n
-        zp, s = np.empty((rows, n, 2)), np.empty((rows, n, n))
-        for p in pieces:
-            zp[p.rows], s[p.rows] = draw(p)
     try:
         return _evaluate(zp, s, job, pieces[0].start)
     except (DegenerateStatisticError, NearSingularDenominatorError):
@@ -290,46 +281,46 @@ def _run_chunk(jobs: Sequence[_Job], models: Sequence[_ChunkMaps], pieces):
         raise
 
 
-def _collect(jobs: Sequence[_Job], workers: int) -> list:
-    """Run every trial of every job; returns ``(values, lam)`` per job.
+def _collect(jobs: Sequence[_Job], workers: int):
+    """Run every trial of every job; returns ``(values, lam, offsets)``.
 
-    The jobs' trials are cut into tasks by :func:`_plan`, and all tasks
-    share one pool of ``workers`` threads. Each task writes its pieces'
-    rows straight into their jobs' output arrays, so results do not depend
-    on the order in which tasks finish.
+    ``values`` maps each statistic to one array over all trials in job
+    order, ``lam`` holds their eigenvalue quadruples (or is None), and job
+    ``j`` owns rows ``offsets[j] .. offsets[j + 1] - 1``. The tasks of
+    :func:`_plan` share one pool of ``workers`` threads, and each writes its
+    rows as one slice per output, whatever order the tasks finish in.
     """
     workers = _check_count(workers, "workers")
     shared = {(job.cfg.n, job.cfg.k, tuple(job.names), job.with_lam) for job in jobs}
     assert len(shared) == 1, "a call's samples share n, k, names and with_lam"
-    results, models, sizes = [], [], []
+    models, sizes = [], []
     for job in jobs:
-        trials = _check_count(job.trials, "trials")
+        sizes.append(_check_count(job.trials, "trials"))
         check_support(job.cfg.n, job.cfg.k)
         models.append(_chunk_maps(job.cfg))
-        sizes.append(trials)
-        out = {name: np.empty(trials) for name in job.names}
-        results.append((out, np.empty((trials, 4)) if job.with_lam else None))
+    offsets = np.cumsum([0, *sizes])
+    values = {name: np.empty(offsets[-1]) for name in jobs[0].names}
+    lam = np.empty((offsets[-1], 4)) if jobs[0].with_lam else None
     tasks = _plan(sizes)
 
     def work(pieces):
-        values, lam = _run_chunk(jobs, models, pieces)
-        for p in pieces:
-            out, out_lam = results[p.sample]
-            for name, arr in values.items():
-                out[name][p.start : p.stop] = arr[p.rows]
-            if out_lam is not None:
-                out_lam[p.start : p.stop] = lam[p.rows]
+        task_values, task_lam = _run_chunk(jobs, models, pieces)
+        first = offsets[pieces[0].sample] + pieces[0].start
+        rows = slice(first, first + pieces[-1].rows.stop)
+        for name, arr in task_values.items():
+            values[name][rows] = arr
+        if lam is not None:
+            lam[rows] = task_lam
 
     if workers > 1 and len(tasks) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             # map re-raises the first failing task in submission order, as
             # the serial loop does, and cancels the tasks not yet started
-            for _ in pool.map(work, tasks):
-                pass
+            list(pool.map(work, tasks))
     else:
         for task in tasks:
             work(task)
-    return results
+    return values, lam, offsets
 
 
 def statistic_samples(
@@ -340,13 +331,13 @@ def statistic_samples(
     workers: int = 1,
 ) -> dict:
     """Per-trial detector values, keyed by canonical statistic name."""
-    [(out, _)] = _collect([_Job(cfg, _as_names(detector), trials, master_seed)], workers)
-    return out
+    values, _, _ = _collect([_Job(cfg, _as_names(detector), trials, master_seed)], workers)
+    return values
 
 
 def _mis_from_lam(lam: np.ndarray) -> np.ndarray:
-    bad = ~(lam[:, 3] > 1e-12 * np.maximum(lam[:, 0], 0.0))
-    if np.any(bad):
+    bad = _degenerate_lambda4(*lam.T)
+    if _any(bad):
         idx = int(np.argmax(bad))
         raise DegenerateStatisticError(
             f"trial {idx}: degenerate eigenvalue quadruple {tuple(lam[idx])}"
@@ -361,7 +352,7 @@ def mis_samples(
 
     Returns ``(t, lam)`` with shapes ``(trials, 3)`` and ``(trials, 4)``.
     """
-    [(_, lam)] = _collect([_mis_job(cfg, trials, master_seed)], workers)
+    _, lam, _ = _collect([_mis_job(cfg, trials, master_seed)], workers)
     return _mis_from_lam(lam), lam
 
 
@@ -410,8 +401,10 @@ def estimate_rate(values, eta: float) -> EstimateWithCI:
     Estimates Pfa on an H0 sample and Pd on an H1 sample.
     """
     values = _sample(values)
-    trials = values.shape[0]
-    count = int(np.count_nonzero(values >= eta))
+    return _estimate(int(np.count_nonzero(values >= eta)), values.shape[0])
+
+
+def _estimate(count: int, trials: int) -> EstimateWithCI:
     return EstimateWithCI(count / trials, wilson_interval(count, trials), trials)
 
 
@@ -432,6 +425,7 @@ class CfarSweepResult:
     thresholds: dict
     target_pfa: float
     trials: int
+    trials_drawn: int  # calibration and each cell with a sample of its own
 
     @property
     def all_passed(self) -> bool:
@@ -467,9 +461,8 @@ def cfar_sweep(
     if not 0.0 < target_pfa < 1.0:
         raise ValueError("target_pfa must be in (0, 1)")
     trials = _check_count(trials, "trials")
-    n_cal = trials
-    if calibration_trials is not None:
-        n_cal = _check_count(calibration_trials, "calibration_trials")
+    n_cal = trials if calibration_trials is None else calibration_trials
+    n_cal = _check_count(n_cal, "calibration_trials")
     base = scenario.as_hypothesis(base_scenario, "H0")
 
     # job 0 calibrates; the reference cell reuses its sample
@@ -478,27 +471,25 @@ def cfar_sweep(
     grid = list(product(gamma_grid, rho_grid))
     cell_jobs = []
     for idx, (g, r) in enumerate(grid):
-        if g == 1.0 and r == rho_grid[0]:
-            cell_jobs.append(0)
-        else:
+        reference = g == 1.0 and r == rho_grid[0]
+        if not reference:
             cfg = replace(base, gamma=g, rho=r)
             jobs.append(_Job(cfg, names, trials, derive_seed(seed, 1 + idx)))
-            cell_jobs.append(len(jobs) - 1)
-    samples = _collect(jobs, workers)
+        cell_jobs.append(0 if reference else len(jobs) - 1)
+    values, _, offsets = _collect(jobs, workers)
 
-    thresholds = {
-        name: _order_statistic_threshold(np.sort(samples[0][0][name]), target_pfa)
-        for name in names
-    }
-
-    cells = []
+    thresholds, cells = {}, []
     for name in names:
+        v = values[name]
+        eta = thresholds[name] = _order_statistic_threshold(np.sort(v[: offsets[1]]), target_pfa)
+        counts = np.add.reduceat(v >= eta, offsets[:-1], dtype=np.intp).tolist()
         for (g, r), job_idx in zip(grid, cell_jobs):
-            est = estimate_rate(samples[job_idx][0][name], thresholds[name])
+            est = _estimate(counts[job_idx], jobs[job_idx].trials)
             band = binomial_band(target_pfa, est.n)
             cells.append(CfarCell(name, g, r, est, abs(est.point - target_pfa) <= band))
     return CfarSweepResult(
-        cells=tuple(cells), thresholds=thresholds, target_pfa=target_pfa, trials=trials
+        cells=tuple(cells), thresholds=thresholds, target_pfa=target_pfa, trials=trials,
+        trials_drawn=int(offsets[-1]),
     )
 
 
@@ -537,9 +528,9 @@ def ancillarity_check(
         _mis_job(scenario_h0, n_samples, derive_seed(seed, 0)),
         _mis_job(scenario_h1, n_samples, derive_seed(seed, 1)),
     ]
-    (_, lam0), (_, lam1) = _collect(jobs, workers)
-    a = _mis_from_lam(lam0)[:, component - 1]
-    b = _mis_from_lam(lam1)[:, component - 1]
+    _, lam, offsets = _collect(jobs, workers)
+    a = _mis_from_lam(lam[: offsets[1]])[:, component - 1]
+    b = _mis_from_lam(lam[offsets[1] :])[:, component - 1]
     from scipy.stats import ks_2samp  # deferred: scipy.stats is slow to import
 
     stat = float(ks_2samp(a, b).statistic)
@@ -582,8 +573,8 @@ def roc_curve(
         _Job(h0, [name], trials, derive_seed(seed, 0)),
         _Job(h1, [name], trials, derive_seed(seed, 1)),
     ]
-    (v0, _), (v1, _) = _collect(jobs, workers)
-    v0, v1 = np.sort(v0[name]), v1[name]
+    values, _, offsets = _collect(jobs, workers)
+    v0, v1 = np.sort(values[name][: offsets[1]]), values[name][offsets[1] :]
     points = [
         RocPoint(p, estimate_rate(v1, _order_statistic_threshold(v0, p))) for p in sorted(pfas)
     ]

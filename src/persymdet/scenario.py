@@ -33,6 +33,8 @@ def _integral(value, what: str) -> int:
 
     A bool is not a count, and neither is a string of digits.
     """
+    if type(value) is int:
+        return value
     if not isinstance(value, bool) and (
         isinstance(value, numbers.Integral)
         or (isinstance(value, numbers.Real) and float(value).is_integer())

@@ -148,6 +148,16 @@ def _any(bad) -> bool:
     return np.count_nonzero(bad) > 0
 
 
+def _degenerate_lambda4(l1, l2, l3, l4):
+    """Where ``l4`` cannot scale the maximal invariant, on floats or arrays.
+
+    Set where an eigenvalue is not finite (NaN included) or
+    ``l4 <= 1e-12 max(l1, 0)``; test it with :func:`_any`.
+    """
+    finite = (abs(l1) < math.inf) & (abs(l2) < math.inf) & (abs(l3) < math.inf)
+    return np.logical_not(finite & (abs(l4) < math.inf) & (l4 > 0.0) & (l4 > 1e-12 * l1))
+
+
 def _trace_det(a, b, c, d):
     """Trace and determinant of ``[[a, b], [c, d]]``, on floats or arrays."""
     return a + d, a * d - b * c
@@ -252,7 +262,7 @@ def mis(psis: PsiPair) -> MISVector:
     relative to ``l1`` (always the case for N = 2, where psi1 has rank <= 1).
     """
     l1, l2, l3, l4 = psis.lam
-    if not all(map(math.isfinite, (l1, l2, l3, l4))) or l4 <= 1e-12 * max(l1, 0.0):
+    if _any(_degenerate_lambda4(l1, l2, l3, l4)):
         raise DegenerateStatisticError(
             f"smallest eigenvalue is degenerate: lambda = ({l1:.6g}, {l2:.6g}, "
             f"{l3:.6g}, {l4:.6g})"

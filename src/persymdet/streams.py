@@ -23,14 +23,12 @@ def stream_rekeyer():
 
     Constructing a Philox bit generator gathers OS entropy even when a key
     is supplied, which dominates tight Monte Carlo loops. The returned
-    callable reuses one bit generator and one state dict: it writes the
-    fresh ``(master_seed, index)`` key into the dict's key list and assigns
-    the dict, which copies it into the bit generator. The dict holds Python
-    ints (tuples for the counter and buffer, a list for the key), so the
-    setter reads plain ints instead of making a NumPy scalar per word. The
-    result is bit-for-bit identical to constructing :func:`derive_stream`
-    anew (pinned by tests). Not thread-safe: create one rekeyer per worker
-    chunk.
+    callable reuses one bit generator and one state dict of Python ints (so
+    the setter makes no NumPy scalar per word): it writes the fresh
+    ``(master_seed, index)`` key into the dict and assigns the dict, which
+    copies it into the bit generator. The result is bit-for-bit identical to
+    constructing :func:`derive_stream` anew (pinned by tests). Not
+    thread-safe: create one rekeyer per task.
     """
     bitgen = np.random.Philox(key=0)
     gen = np.random.Generator(bitgen)

@@ -6,6 +6,7 @@ from persymdet import (
     assemble,
     build_transform,
     canonicalize,
+    montecarlo,
     sample_dataset,
     steering,
 )
@@ -36,6 +37,13 @@ def make_statistic(seed, n=8, k=16, variant=None):
     cfg = ScenarioConfig(n=n, k=k, **params)
     ds = sample_dataset(cfg, derive_stream(seed, 0))
     return assemble(canonicalize(ds.r, ds.rk, _transform(n, params["nu"])))
+
+
+def draw_task(cfg, start, count, seed):
+    """``(Zp, S)`` of trials ``start .. start + count - 1``, drawn as a one-piece task."""
+    job = montecarlo._Job(cfg, [], count, seed)
+    piece = montecarlo._Piece(0, start, start + count, 0)
+    return montecarlo._draw_batch([job], [montecarlo._chunk_maps(cfg)], (piece,))
 
 
 @pytest.fixture

@@ -19,8 +19,10 @@ from persymdet import (
     two_step_glr,
     wald,
 )
-from persymdet import detectors, montecarlo
+from persymdet import detectors
 from persymdet.statistics import _gamma_hat, _psi_batch
+
+from conftest import draw_task
 
 K, N = 8, 4
 PSIS = PsiPair(psi0=np.diag([2.0, 1.0]), psi1=np.diag([1.5, 0.5]))
@@ -98,7 +100,7 @@ class TestRao:
         # the entry-wise formula against inverses and traces of the 2x2 forms
         cfg = ScenarioConfig(n=8, k=16, rho=0.9, cnr_db=10.0, nu=0.1, hypothesis="H1",
                              sinr_db=10.0)
-        zp, s = montecarlo._draw_batch(cfg, montecarlo._chunk_maps(cfg), 0, 512, 8)
+        zp, s = draw_task(cfg, 0, 512, 8)
         psi0, psi1 = _psi_batch(zp, s)
         values = detectors._batch_values("rao", psi0, psi1, cfg.k, cfg.n)
         for p0, p1, value in zip(psi0, psi1, values):
@@ -261,7 +263,7 @@ def test_nonpositive_trace_is_typed(name, which):
 
 
 def _assert_scalar_equals_batched(cfg, trials, seed):
-    zp, s = montecarlo._draw_batch(cfg, montecarlo._chunk_maps(cfg), 0, trials, seed)
+    zp, s = draw_task(cfg, 0, trials, seed)
     stats = [SufficientStatistic(zp=z, s=m, k=cfg.k) for z, m in zip(zp, s)]
     psi0, psi1 = _psi_batch(np.stack([x.zp for x in stats]), np.stack([x.s for x in stats]))
     k, n = cfg.k, cfg.n
@@ -304,7 +306,7 @@ class TestScalarEqualsBatched:
         # z1p = s12 S22^-1 Z2p makes psi0 = psi1 up to round-off, where a
         # difference of separately rounded traces would go either way
         cfg = ScenarioConfig(n=8, k=16, gamma=0.25, cnr_db=10.0, nu=0.1)
-        zp, s = montecarlo._draw_batch(cfg, montecarlo._chunk_maps(cfg), 0, 512, 5)
+        zp, s = draw_task(cfg, 0, 512, 5)
         zp[:, 0, :] = (s[:, :1, 1:] @ np.linalg.solve(s[:, 1:, 1:], zp[:, 1:, :]))[:, 0, :]
         for z, m in zip(zp, s):
             psis = compute_psi(SufficientStatistic(zp=z, s=m, k=cfg.k))

@@ -10,6 +10,7 @@ import pytest
 
 from persymdet import (
     DegenerateStatisticError,
+    PsiPair,
     SingularSecondaryError,
     ScenarioConfig,
     ancillarity_check,
@@ -22,6 +23,7 @@ from persymdet import (
     cfar_sweep,
     compute_psi,
     estimate_rate,
+    mis,
     mis_samples,
     roc_curve,
     sample_dataset,
@@ -32,6 +34,8 @@ from persymdet import (
 from persymdet import canonical, detectors, group, montecarlo, scenario, streams
 from persymdet import statistics as stats_module
 from persymdet.streams import derive_seed, derive_stream
+
+from conftest import draw_task
 
 CFG = ScenarioConfig(n=8, k=16, rho=0.5, cnr_db=5.0, nu=0.1)
 
@@ -90,6 +94,25 @@ class TestEngine:
         with pytest.raises(DegenerateStatisticError):
             mis_samples(ScenarioConfig(n=2, k=8), 10, 0)
 
+    @pytest.mark.parametrize("quad", [
+        (4.0, 3.0, 2.0, 0.0),
+        (4.0, 3.0, 2.0, 1e-13),
+        (4.0, 3.0, 2.0, -1.0),
+        (np.nan, 3.0, 2.0, 1.0),
+        (4.0, np.nan, 2.0, 1.0),
+        (4.0, 3.0, np.inf, 1.0),
+        (4.0, 3.0, 2.0, np.inf),
+        (-np.inf, -np.inf, -np.inf, 1.0),
+    ])
+    def test_one_lambda4_rule_on_both_paths(self, quad):
+        good = (4.0, 3.0, 2.0, 1.0)
+        assert mis(PsiPair(np.eye(2), np.eye(2), lam=good)).t1 == 4.0
+        with pytest.raises(DegenerateStatisticError, match="degenerate"):
+            mis(PsiPair(np.eye(2), np.eye(2), lam=quad))
+        assert montecarlo._mis_from_lam(np.array([good, good]))[1, 0] == 4.0
+        with pytest.raises(DegenerateStatisticError, match="^trial 2: degenerate"):
+            montecarlo._mis_from_lam(np.array([good, good, quad]))
+
     def test_too_few_secondaries_is_typed(self):
         # 2K < N: the scatter is singular for every trial
         with pytest.raises(SingularSecondaryError, match="2K >= N"):
@@ -138,7 +161,7 @@ class TestBatchedStructure:
     @pytest.mark.parametrize("cfg", GRID, ids=lambda c: f"n{c.n}-g{c.gamma}-r{c.rho}")
     def test_rank_one_order_and_interlacing(self, cfg):
         trials, seed = (512 if cfg.n > 8 else 2048), 17
-        zp, s = montecarlo._draw_batch(cfg, montecarlo._chunk_maps(cfg), 0, trials, seed)
+        zp, s = draw_task(cfg, 0, trials, seed)
         psi0, psi1 = montecarlo._psi_batch(zp, s)
         tr0 = psi0[:, 0, 0] + psi0[:, 1, 1]
         tr1 = psi1[:, 0, 0] + psi1[:, 1, 1]
@@ -154,7 +177,7 @@ class TestBatchedStructure:
         # z1p = s12 S22^-1 Z2p makes psi0 = psi1 up to round-off, where a
         # difference of separately rounded traces would go either way
         cfg = self.GRID[0]
-        zp, s = montecarlo._draw_batch(cfg, montecarlo._chunk_maps(cfg), 0, 2048, 5)
+        zp, s = draw_task(cfg, 0, 2048, 5)
         zp[:, 0, :] = (s[:, :1, 1:] @ np.linalg.solve(s[:, 1:, 1:], zp[:, 1:, :]))[:, 0, :]
         psi0, psi1 = montecarlo._psi_batch(zp, s)
         assert np.all(psi0[:, 0, 0] + psi0[:, 1, 1] >= psi1[:, 0, 0] + psi1[:, 1, 1])
@@ -179,10 +202,12 @@ class TestTraceEntryPoints:
                 assert callable(getattr(module, name, None)), f"{module.__name__}.{name}"
 
     def test_one_rekey_per_trial(self, monkeypatch):
-        calls = []
+        # and one rekeyer per _draw_batch call, however many pieces it draws
+        calls, rekeyers = [], []
 
         def counting_rekeyer():
             rekey = streams.stream_rekeyer()
+            rekeyers.append(rekey)
 
             def counted(*args):
                 calls.append(args)
@@ -192,12 +217,20 @@ class TestTraceEntryPoints:
 
         monkeypatch.setattr(montecarlo, "stream_rekeyer", counting_rekeyer)
         start, count, seed = 10, 37, 3
-        montecarlo._draw_batch(CFG, montecarlo._chunk_maps(CFG), start, count, seed)
+        draw_task(CFG, start, count, seed)
         assert calls == [(seed, start + j) for j in range(count)]
+        assert len(rekeyers) == 1
+        calls.clear()
+        jobs = [montecarlo._Job(CFG, [], 5, 4), montecarlo._Job(CFG, [], 2, 5)]
+        [pieces] = montecarlo._plan([5, 2])
+        models = [montecarlo._chunk_maps(CFG)] * 2
+        montecarlo._draw_batch(jobs, models, pieces)
+        assert calls == [(4, j) for j in range(5)] + [(5, j) for j in range(2)]
+        assert len(rekeyers) == 2
 
     def test_shared_pool_sweep_counts(self, monkeypatch):
         # one cfar_sweep on a shared pool: one rekey per trial of each job,
-        # one _run_chunk call per task and one _draw_batch call per piece
+        # one _run_chunk call and one _draw_batch call per task
         rekeys, run_chunks, draws = [], [], []
         real_rekeyer = streams.stream_rekeyer
         real_run_chunk = montecarlo._run_chunk
@@ -218,9 +251,9 @@ class TestTraceEntryPoints:
             )
             return real_run_chunk(jobs, models, pieces)
 
-        def draw(cfg, model, start, count, master_seed):
-            draws.append((master_seed, (start, start + count)))
-            return real_draw(cfg, model, start, count, master_seed)
+        def draw(jobs, models, pieces):
+            draws.append([(jobs[p.sample].master_seed, (p.start, p.stop)) for p in pieces])
+            return real_draw(jobs, models, pieces)
 
         monkeypatch.setattr(montecarlo, "stream_rekeyer", counting_rekeyer)
         monkeypatch.setattr(montecarlo, "_run_chunk", run_chunk)
@@ -245,7 +278,7 @@ class TestTraceEntryPoints:
         ]
         assert montecarlo._CHUNK == 4096
         assert sorted(run_chunks) == sorted(expected_tasks)
-        assert sorted(draws) == sorted(piece for task in expected_tasks for piece in task)
+        assert sorted(draws) == sorted(expected_tasks)  # five draws, not eight
 
     def test_one_psi_and_one_detector_call_per_chunk(self, monkeypatch):
         # the traced benchmark times psi as montecarlo._psi_batch and each
@@ -342,6 +375,35 @@ class TestTaskPlan:
                    calibration_trials=2000, workers=workers)
         assert sorted(seen) == montecarlo._plan([2000, 3000])
 
+    def test_task_rows_reach_outputs_as_one_slice(self, monkeypatch):
+        # every task holds consecutive rows of the call's outputs, which lay
+        # the samples out in job order
+        tasks = []
+        real_run_chunk = montecarlo._run_chunk
+
+        def run_chunk(jobs, models, pieces):
+            values, lam = real_run_chunk(jobs, models, pieces)
+            tasks.append((pieces, values, lam))
+            return values, lam
+
+        monkeypatch.setattr(montecarlo, "_run_chunk", run_chunk)
+        names, sizes = ["glr", "rao"], (4095, 3, 4097)
+        jobs = [montecarlo._Job(CFG, names, n, 30 + j, True) for j, n in enumerate(sizes)]
+        values, lam, offsets = montecarlo._collect(jobs, workers=2)
+        assert offsets.tolist() == [0, 4095, 4098, 8195]
+        assert sorted(len(p) for p, _, _ in tasks) == [1, 2, 2]
+        for pieces, task_values, task_lam in tasks:
+            first = offsets[pieces[0].sample] + pieces[0].start
+            rows = slice(first, first + len(task_lam))
+            assert first % montecarlo._CHUNK == 0
+            assert lam[rows].tobytes() == task_lam.tobytes()
+            for name in names:
+                assert values[name][rows].tobytes() == task_values[name].tobytes()
+        # sample 0 is one 4095-row piece here and alone
+        alone = statistic_samples(CFG, names, sizes[0], 30)
+        for name in names:
+            assert values[name][: offsets[1]].tobytes() == alone[name].tobytes()
+
     SIZES = [1, 3, 4095, 4097, 5000]
     H1 = ScenarioConfig(n=8, k=16, rho=0.5, cnr_db=5.0, nu=0.1, hypothesis="H1",
                         sinr_db=10.0)
@@ -375,19 +437,16 @@ class TestTaskPlan:
         # one task holds the calibration sample and the (0.5, 0.0) cell;
         # trial 1 of the cell, row 4 of the stack, has a singular S22
         real_draw = montecarlo._draw_batch
-        seed = 9
-        cell_seed = derive_seed(seed, 1)
 
-        def draw(cfg, model, start, count, master_seed):
-            zp, s = real_draw(cfg, model, start, count, master_seed)
-            if master_seed == cell_seed:
-                s[1 - start, 1:, 1:] = 0.0
+        def draw(jobs, models, pieces):
+            zp, s = real_draw(jobs, models, pieces)
+            s[4, 1:, 1:] = 0.0
             return zp, s
 
         monkeypatch.setattr(montecarlo, "_draw_batch", draw)
         assert [len(t) for t in montecarlo._plan([3, 3])] == [2]
         with pytest.raises(DegenerateStatisticError, match=r"^trial 1: scatter block S22"):
-            cfar_sweep("glr", CFG, [0.5, 1.0], [0.0], 0.05, 3, seed)
+            cfar_sweep("glr", CFG, [0.5, 1.0], [0.0], 0.05, 3, 9)
 
 
 class TestSharedPool:
@@ -454,13 +513,18 @@ class TestSharedPool:
         monkeypatch.setattr(montecarlo, "_DRAW_LOCK", RecordingLock())
         small = ScenarioConfig(n=8, k=16)  # 2N(K+1) = 272 normals per trial
         large = ScenarioConfig(n=32, k=64)  # 4160
-        montecarlo._draw_batch(small, montecarlo._chunk_maps(small), 0, 3, 1)
+        draw_task(small, 0, 3, 1)
         assert len(entered) == 1
-        montecarlo._draw_batch(large, montecarlo._chunk_maps(large), 0, 3, 1)
+        draw_task(large, 0, 3, 1)
         assert len(entered) == 1
         # a full GIL-bound chunk stays one block under one hold of the lock
-        montecarlo._draw_batch(small, montecarlo._chunk_maps(small), 0, montecarlo._CHUNK, 1)
+        draw_task(small, 0, montecarlo._CHUNK, 1)
         assert len(entered) == 2
+        # and so does a task of nine pieces, one per sample
+        [pieces] = montecarlo._plan([1] * 9)
+        jobs = [montecarlo._Job(small, [], 1, seed) for seed in range(9)]
+        montecarlo._draw_batch(jobs, [montecarlo._chunk_maps(small)] * 9, pieces)
+        assert len(pieces) == 9 and len(entered) == 3
 
 
 class TestValidation:
@@ -595,6 +659,16 @@ class TestCfarSweep:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             cfar_sweep("glr", CFG, [], [0.0], 0.05, 100, seed=0)
+
+    @pytest.mark.parametrize("gammas, rhos, own_samples", [
+        ([0.5, 1.0], [0.0, 0.9], 3),  # the reference cell reuses the calibration
+        ([0.5, 2.0], [0.3], 2),  # no reference cell
+        ([0.5, 0.5, 1.0], [0.0], 2),  # a repeated value draws a sample per cell
+    ])
+    def test_trials_drawn(self, gammas, rhos, own_samples):
+        trials, n_cal = 50, 70
+        result = cfar_sweep("glr", CFG, gammas, rhos, 0.1, trials, 4, calibration_trials=n_cal)
+        assert result.trials_drawn == n_cal + own_samples * trials
 
     def test_matches_sample_api(self):
         # the sweep's threshold is calibrate_threshold on job 0 and each other

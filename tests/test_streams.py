@@ -12,6 +12,8 @@ from persymdet import (
 )
 from persymdet.streams import derive_stream, stream_rekeyer
 
+from conftest import draw_task
+
 KEYS = [(7, 0), (7, 123_456_789_012), (7, 2**64 - 1), (-5, 3), (-(2**63), 2**40)]
 
 
@@ -61,7 +63,7 @@ class TestDrawBatch:
             # drawn in blocks: span several and end in a ragged one
             block = montecarlo._DRAW_BLOCK // width
             count = 2 * block + block // 2
-        zp, s = montecarlo._draw_batch(cfg, montecarlo._chunk_maps(cfg), start, count, seed)
+        zp, s = draw_task(cfg, start, count, seed)
         assert zp.shape == (count, cfg.n, 2) and s.shape == (count, cfg.n, cfg.n)
         xf = build_transform(steering(cfg.n, cfg.nu))
         for j in range(count):
