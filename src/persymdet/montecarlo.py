@@ -6,38 +6,41 @@ an order statistic of an H0 :func:`statistic_samples` sample, and
 and :func:`roc_curve` run the same order statistic and count.
 
 Trials are embarrassingly parallel. Each trial draws from its own
-counter-derived stream (see :mod:`persymdet.streams`), so every output is a
-pure function of ``(config, trials, master_seed)`` and independent of
-chunking or worker count. Heavy linear algebra is evaluated in vectorized
-tasks that work in canonical coordinates throughout: cached real maps take
-each trial's normals straight to ``(Zp, S)``, and one batched solve against
-``S22`` gives both quadratic forms. The public single-trial API runs the
-same psi kernel and detector formulas.
+counter-derived stream (see :mod:`persymdet.streams`), and every value of a
+trial depends on that stream only: not on the other trials of its task or
+block, the other samples of the call, or the worker count. Heavy linear
+algebra is evaluated in vectorized blocks that work in canonical
+coordinates throughout: cached real maps take each trial's normals straight
+to ``(Zp, S)``, with every product taken per trial, and one batched solve
+against ``S22`` gives both quadratic forms. The public single-trial API runs
+the same psi kernel and detector formulas.
 
 A public call lines up the trials of all of its samples (every grid cell
 of a CFAR sweep and its calibration sample, both hypotheses of an ROC curve
 or an ancillarity check), in order, and cuts them into tasks of ``_CHUNK``
-trials; a task may cross samples. One draw per task fills its ``(Zp, S)``
-stack with one rekeyer, each piece from its own sample's streams and maps;
-the task then solves for psi and evaluates each statistic once over the
-stack, and writes its rows as one slice of each of the call's outputs,
-which hold all trials in plan order. The plan depends only on the sample
+trials; a task may cross samples. The plan depends only on the sample
 sizes, and samples that are multiples of ``_CHUNK`` are cut exactly as they
 would be alone. All tasks share one thread pool of ``workers`` threads. A
-per-trial draw loop alternates a Python rekey, which holds the GIL, with a
+task walks its trials in draw blocks, which may also cross samples: each
+block is filled with one rekeyer, each piece from its own sample's streams
+and maps, then solved for psi and evaluated for each statistic, and its rows
+go straight into the call's outputs, which hold all trials in plan order.
+A per-trial draw loop alternates a Python rekey, which holds the GIL, with a
 normal fill, which releases it. When a trial draws few normals the two take
 about equally long, so concurrent draw loops would only trade the GIL on
-every trial; such a task fills all of its pieces under one hold of a module
+every trial; such a task is one block, filled under one hold of a module
 lock, and the workers that wait for it sleep while the others run the GEMM,
-solve and detector stages. Larger trials are drawn and mapped in blocks of
-at most ``_DRAW_BLOCK`` normals, so a draw holds its ``(rows, N, N)``
-scatter and a few block-sized buffers, however many normals it draws.
+solve and detector stages. Larger trials are drawn in blocks of at most
+``_DRAW_BLOCK`` normals. Each worker makes one set of block buffers per
+call and reuses it for all of its blocks, so its memory is one block's
+working set for any N and K, not a task's.
 """
 
 import math
 import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import product
@@ -55,6 +58,8 @@ from .streams import derive_seed, stream_rekeyer
 _CHUNK = 4096  # fixed: results must not depend on worker count
 # Normals per draw block (8 MB) of a draw that is not bound by the GIL.
 _DRAW_BLOCK = 1 << 20
+# Values (1 MB) of each of a worker's two secondary GEMM outputs.
+_GEMM_BLOCK = 1 << 17
 # Draw loops whose trials draw fewer normals than this, 2N(K+1), are bound
 # by the GIL and run one at a time (N=8, K=16 draws 272; N=32, K=64 4160).
 _GIL_BOUND_NORMALS = 1024
@@ -175,77 +180,114 @@ class _Piece(NamedTuple):
         return slice(self.row, self.row + self.stop - self.start)
 
 
+def _cut(spans, rows: int) -> list:
+    """Cut ``(sample, start, stop)`` spans, in order, into runs of ``rows`` rows.
+
+    Each run is a tuple of :class:`_Piece` whose ``row`` counts from the
+    start of the run; only the last run may be short, and a run boundary may
+    fall inside a span or between two.
+    """
+    runs, run, row = [], [], 0
+    for sample, start, size in spans:
+        while start < size:
+            stop = min(size, start + rows - row)
+            run.append(_Piece(sample, start, stop, row))
+            row += stop - start
+            start = stop
+            if row == rows:
+                runs.append(tuple(run))
+                run, row = [], 0
+    if run:
+        runs.append(tuple(run))
+    return runs
+
+
 def _plan(sizes: Sequence[int]) -> list:
     """Cut samples of ``sizes`` trials, in order, into tasks of ``_CHUNK`` rows.
 
-    Each task is a tuple of :class:`_Piece`; only the last task may be
-    short, and a task boundary may fall inside a sample or between two. The
-    plan depends on the sizes alone, and when every size is a multiple of
-    ``_CHUNK`` each task is one ``_CHUNK``-trial piece of one sample.
+    The plan depends on the sizes alone, and when every size is a multiple
+    of ``_CHUNK`` each task is one ``_CHUNK``-trial piece of one sample.
     """
-    tasks, task, row = [], [], 0
-    for sample, size in enumerate(sizes):
-        start = 0
-        while start < size:
-            stop = min(size, start + _CHUNK - row)
-            task.append(_Piece(sample, start, stop, row))
-            row += stop - start
-            start = stop
-            if row == _CHUNK:
-                tasks.append(tuple(task))
-                task, row = [], 0
-    if task:
-        tasks.append(tuple(task))
-    return tasks
+    return _cut([(sample, 0, size) for sample, size in enumerate(sizes)], _CHUNK)
 
 
-def _draw_batch(jobs: Sequence[_Job], models: Sequence[_ChunkMaps], pieces):
-    """Canonical ``(Zp, S)`` of a task's trials, stacked in piece order.
+def _block_rows(n: int, k: int, trials: int) -> int:
+    """Rows of a draw block: a whole task when GIL-bound, else ``_DRAW_BLOCK`` normals."""
+    width = 2 * n * (k + 1)
+    rows = _CHUNK if width < _GIL_BOUND_NORMALS else max(1, _DRAW_BLOCK // width)
+    return min(rows, trials)
 
-    One rekeyer draws each piece with its own sample's seed and maps, each
-    trial's stream read in the order of :func:`scenario.sample_dataset` into
-    one normal buffer. A GIL-bound task (fewer than ``_GIL_BOUND_NORMALS``
-    normals a trial) fills all of its trials under one hold of ``_DRAW_LOCK``;
-    another fills each piece in ``_DRAW_BLOCK``-normal blocks of one buffer.
-    Each piece's primaries take one GEMM of their own, so no row depends on
-    the block size or the other pieces. Tests pin ``zp`` ``(rows, N, 2)`` and
-    ``s`` ``(rows, N, N)`` to ``assemble(canonicalize(sample_dataset(...)))``.
+
+class _Scratch(threading.local):
+    """One worker's draw-block buffers for one call.
+
+    A worker makes its set on its first block and reuses it for all of its
+    later blocks and tasks; the set goes when the call drops this object.
+    The normals, Zp and S hold a whole block. The two secondary GEMM outputs
+    hold ``gemm_rows`` rows at a time, at most ``_GEMM_BLOCK`` values each:
+    whole-block outputs would double the set, and the heap of every thread
+    that held a set keeps its pages after the call.
+    """
+
+    def __init__(self, rows: int, n: int, k: int):
+        self.rows, self._dims, self._buffers = rows, (n, k), None
+        self.gemm_rows = min(rows, max(1, _GEMM_BLOCK // (2 * k * n)))
+
+    def take(self, m: int) -> tuple:
+        """The first ``m`` rows of the normals, Zp and S, and both GEMM outputs."""
+        if self._buffers is None:
+            (n, k), rows = self._dims, self.rows
+            self._buffers = (
+                np.empty((rows, 2 * n * (k + 1))),
+                np.empty((rows, 1, 2 * n)),
+                np.empty((rows, n, n)),
+                *np.empty((2, self.gemm_rows, k, 2 * n)),
+            )
+        buf, zp, s, zs_re, zs_im = self._buffers
+        return buf[:m], zp[:m], s[:m], zs_re, zs_im
+
+
+def _draw_batch(jobs: Sequence[_Job], models: Sequence[_ChunkMaps], pieces, scratch: _Scratch):
+    """Canonical ``(Zp, S)`` of one draw block, stacked in piece order.
+
+    One rekeyer fills the block's normals in the worker's buffer, each
+    trial's stream read in the order of :func:`scenario.sample_dataset`; a
+    GIL-bound block (fewer than ``_GIL_BOUND_NORMALS`` normals a trial) is
+    filled under one hold of ``_DRAW_LOCK``. Each piece is then mapped with
+    its own sample's maps through ``out=`` into the worker's buffers, its
+    secondaries ``gemm_rows`` trials at a time. Every GEMM is per trial (a
+    trial's primaries are one vector-matrix product), so no value depends on
+    the block, the slice or the other trials in it. The returned
+    ``zp`` ``(rows, N, 2)`` and ``s`` ``(rows, N, N)`` are views that the
+    worker's next block overwrites. Tests pin them to
+    ``assemble(canonicalize(sample_dataset(...)))``.
     """
     cfg = jobs[pieces[0].sample].cfg
     n, k = cfg.n, cfg.k
-    kn, width = k * n, 2 * n * (k + 1)
-    rows = pieces[-1].rows.stop
-    gil_bound = width < _GIL_BOUND_NORMALS
-    block = rows if gil_bound else max(1, min(rows, _DRAW_BLOCK // width))
-    buf = np.empty((block, width))
-    prim, zp = np.empty((rows, 2 * n)), np.empty((rows, 2 * n))
-    s = np.empty((rows, n, n))
+    kn, m, step = k * n, pieces[-1].rows.stop, scratch.gemm_rows
+    buf, zp, s, zs_re, zs_im = scratch.take(m)
     rekey = stream_rekeyer()
-
-    def fill(blk, master_seed: int, first: int):
-        for j in range(blk.shape[0]):
-            rekey(master_seed, first + j).standard_normal(out=blk[j])
-        return blk
-
-    if gil_bound:
-        with _DRAW_LOCK:
-            for p in pieces:
-                fill(buf[p.rows], jobs[p.sample].master_seed, p.start)
+    with _DRAW_LOCK if buf.shape[1] < _GIL_BOUND_NORMALS else nullcontext():
+        for p in pieces:
+            master_seed, blk = jobs[p.sample].master_seed, buf[p.rows]
+            for j in range(blk.shape[0]):
+                rekey(master_seed, p.start + j).standard_normal(out=blk[j])
     for p in pieces:
-        maps = models[p.sample]
-        for a in range(p.start, p.stop, block):
-            m, r = min(block, p.stop - a), p.row + a - p.start
-            blk = buf[r : r + m] if gil_bound else fill(buf[:m], jobs[p.sample].master_seed, a)
-            prim[r : r + m] = blk[:, : 2 * n]
-            zs = blk[:, 2 * n : 2 * n + kn].reshape(m, k, n) @ maps.sec_re
-            zs += blk[:, 2 * n + kn :].reshape(m, k, n) @ maps.sec_im
+        maps, rows = models[p.sample], p.rows
+        for a in range(rows.start, rows.stop, step):
+            r = slice(a, min(a + step, rows.stop))
+            zs, zi = zs_re[: r.stop - a], zs_im[: r.stop - a]
+            np.matmul(buf[r, 2 * n : 2 * n + kn].reshape(-1, k, n), maps.sec_re, out=zs)
+            np.matmul(buf[r, 2 * n + kn :].reshape(-1, k, n), maps.sec_im, out=zi)
+            zs += zi
             # rows [z1k_j | z2k_j] split into the 2K real secondaries z1k_j, z2k_j
-            zs = zs.reshape(m, 2 * k, n)
-            np.matmul(np.swapaxes(zs, 1, 2), zs, out=s[r : r + m])
-        np.matmul(prim[p.rows], maps.prim, out=zp[p.rows])
+            zs = zs.reshape(-1, 2 * k, n)
+            np.matmul(np.swapaxes(zs, 1, 2), zs, out=s[r])
+        zpr = zp[rows]
+        np.matmul(buf[rows, None, : 2 * n], maps.prim, out=zpr)
         if jobs[p.sample].cfg.hypothesis == "H1":
-            zp[p.rows] += maps.prim_mean
-    return zp.reshape(rows, n, 2), s
+            zpr += maps.prim_mean
+    return zp.reshape(m, n, 2), s
 
 
 def _evaluate(zp, s, job: _Job, index_base: int):
@@ -264,21 +306,33 @@ def _evaluate(zp, s, job: _Job, index_base: int):
     return values, lam
 
 
-def _run_chunk(jobs: Sequence[_Job], models: Sequence[_ChunkMaps], pieces):
-    """One task: draw its pieces as one stack and evaluate the stack once.
+def _run_chunk(jobs: Sequence[_Job], models: Sequence[_ChunkMaps], pieces, out, scratch):
+    """One task, block by block: draw, map and evaluate each block as drawn.
 
-    Returns ``(values, lam)`` with one row per trial, in piece order.
+    ``out`` is ``(values, lam)``: views of the call's outputs over the
+    task's rows, into which each block writes its rows.
     """
-    zp, s = _draw_batch(jobs, models, pieces)
-    job = jobs[pieces[0].sample]
-    try:
-        return _evaluate(zp, s, job, pieces[0].start)
-    except (DegenerateStatisticError, NearSingularDenominatorError):
-        # a row of the stack is not a trial index: the first failing piece
-        # raises again on its own, naming the trial within its sample
-        for p in pieces:
-            _evaluate(zp[p.rows], s[p.rows], job, p.start)
-        raise
+    values, lam = out
+    job, row = jobs[pieces[0].sample], 0
+    blocks = [pieces]
+    if pieces[-1].rows.stop > scratch.rows:
+        blocks = _cut([(p.sample, p.start, p.stop) for p in pieces], scratch.rows)
+    for block in blocks:
+        zp, s = _draw_batch(jobs, models, block, scratch)
+        try:
+            block_values, block_lam = _evaluate(zp, s, job, block[0].start)
+        except (DegenerateStatisticError, NearSingularDenominatorError):
+            # a row of the block is not a trial index: the first failing
+            # piece raises again on its own, naming the trial within its sample
+            for p in block:
+                _evaluate(zp[p.rows], s[p.rows], job, p.start)
+            raise
+        rows = slice(row, row + len(zp))
+        for name, arr in block_values.items():
+            values[name][rows] = arr
+        if lam is not None:
+            lam[rows] = block_lam
+        row = rows.stop
 
 
 def _collect(jobs: Sequence[_Job], workers: int):
@@ -288,7 +342,7 @@ def _collect(jobs: Sequence[_Job], workers: int):
     order, ``lam`` holds their eigenvalue quadruples (or is None), and job
     ``j`` owns rows ``offsets[j] .. offsets[j + 1] - 1``. The tasks of
     :func:`_plan` share one pool of ``workers`` threads, and each writes its
-    rows as one slice per output, whatever order the tasks finish in.
+    rows straight into the outputs, whatever order the tasks finish in.
     """
     workers = _check_count(workers, "workers")
     shared = {(job.cfg.n, job.cfg.k, tuple(job.names), job.with_lam) for job in jobs}
@@ -301,16 +355,16 @@ def _collect(jobs: Sequence[_Job], workers: int):
     offsets = np.cumsum([0, *sizes])
     values = {name: np.empty(offsets[-1]) for name in jobs[0].names}
     lam = np.empty((offsets[-1], 4)) if jobs[0].with_lam else None
+    n, k = jobs[0].cfg.n, jobs[0].cfg.k
+    scratch = _Scratch(_block_rows(n, k, int(offsets[-1])), n, k)
     tasks = _plan(sizes)
 
     def work(pieces):
-        task_values, task_lam = _run_chunk(jobs, models, pieces)
         first = offsets[pieces[0].sample] + pieces[0].start
         rows = slice(first, first + pieces[-1].rows.stop)
-        for name, arr in task_values.items():
-            values[name][rows] = arr
-        if lam is not None:
-            lam[rows] = task_lam
+        task_values = {name: arr[rows] for name, arr in values.items()}
+        task_lam = None if lam is None else lam[rows]
+        _run_chunk(jobs, models, pieces, (task_values, task_lam), scratch)
 
     if workers > 1 and len(tasks) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -478,6 +532,7 @@ def cfar_sweep(
         cell_jobs.append(0 if reference else len(jobs) - 1)
     values, _, offsets = _collect(jobs, workers)
 
+    bands = {n: binomial_band(target_pfa, n) for n in {jobs[j].trials for j in cell_jobs}}
     thresholds, cells = {}, []
     for name in names:
         v = values[name]
@@ -485,8 +540,8 @@ def cfar_sweep(
         counts = np.add.reduceat(v >= eta, offsets[:-1], dtype=np.intp).tolist()
         for (g, r), job_idx in zip(grid, cell_jobs):
             est = _estimate(counts[job_idx], jobs[job_idx].trials)
-            band = binomial_band(target_pfa, est.n)
-            cells.append(CfarCell(name, g, r, est, abs(est.point - target_pfa) <= band))
+            passed = abs(est.point - target_pfa) <= bands[est.n]
+            cells.append(CfarCell(name, g, r, est, passed))
     return CfarSweepResult(
         cells=tuple(cells), thresholds=thresholds, target_pfa=target_pfa, trials=trials,
         trials_drawn=int(offsets[-1]),

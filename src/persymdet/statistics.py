@@ -50,11 +50,11 @@ def check_support(n: int, k: int) -> None:
 
 @dataclass(frozen=True)
 class SufficientStatistic:
-    """The pair ``(Zp, S)`` with its block partition.
+    """The pair ``(Zp, S)``.
 
     ``zp`` is N-by-2 with columns ``(z1, z2)``; ``s`` is the symmetric
-    secondary scatter built from ``2K`` snapshots. Block views expose the
-    top row / bottom block split used by the quadratic forms.
+    secondary scatter built from ``2K`` snapshots. The quadratic forms split
+    both into their first row and the rest (``zp[1:]``, ``s[1:, 1:]``).
     """
 
     zp: np.ndarray
@@ -83,34 +83,6 @@ class SufficientStatistic:
     @property
     def n(self) -> int:
         return self.zp.shape[0]
-
-    @property
-    def z1p(self) -> np.ndarray:
-        """Top row of Zp, shape (1, 2)."""
-        return self.zp[:1, :]
-
-    @property
-    def z2p(self) -> np.ndarray:
-        """Bottom block of Zp, shape (N-1, 2)."""
-        return self.zp[1:, :]
-
-    @property
-    def s11(self) -> float:
-        return float(self.s[0, 0])
-
-    @property
-    def s12(self) -> np.ndarray:
-        """Top-right row of S, shape (1, N-1)."""
-        return self.s[:1, 1:]
-
-    @property
-    def s21(self) -> np.ndarray:
-        """Bottom-left column of S, shape (N-1, 1)."""
-        return self.s[1:, :1]
-
-    @property
-    def s22(self) -> np.ndarray:
-        return self.s[1:, 1:]
 
 
 def assemble(data: CanonicalizedData) -> SufficientStatistic:

@@ -40,10 +40,15 @@ def make_statistic(seed, n=8, k=16, variant=None):
 
 
 def draw_task(cfg, start, count, seed):
-    """``(Zp, S)`` of trials ``start .. start + count - 1``, drawn as a one-piece task."""
-    job = montecarlo._Job(cfg, [], count, seed)
-    piece = montecarlo._Piece(0, start, start + count, 0)
-    return montecarlo._draw_batch([job], [montecarlo._chunk_maps(cfg)], (piece,))
+    """``(Zp, S)`` of trials ``start .. start + count - 1``, drawn block by block as one task."""
+    job, maps = montecarlo._Job(cfg, [], count, seed), montecarlo._chunk_maps(cfg)
+    rows = montecarlo._block_rows(cfg.n, cfg.k, count)
+    scratch = montecarlo._Scratch(rows, cfg.n, cfg.k)
+    blocks = [
+        [arr.copy() for arr in montecarlo._draw_batch([job], [maps], block, scratch)]
+        for block in montecarlo._cut([(0, start, start + count)], rows)
+    ]
+    return tuple(np.concatenate(arrs) for arrs in zip(*blocks))
 
 
 @pytest.fixture

@@ -1,5 +1,6 @@
 import sys
 import threading
+import tracemalloc
 import warnings
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -224,13 +225,13 @@ class TestTraceEntryPoints:
         jobs = [montecarlo._Job(CFG, [], 5, 4), montecarlo._Job(CFG, [], 2, 5)]
         [pieces] = montecarlo._plan([5, 2])
         models = [montecarlo._chunk_maps(CFG)] * 2
-        montecarlo._draw_batch(jobs, models, pieces)
+        montecarlo._draw_batch(jobs, models, pieces, montecarlo._Scratch(7, CFG.n, CFG.k))
         assert calls == [(4, j) for j in range(5)] + [(5, j) for j in range(2)]
         assert len(rekeyers) == 2
 
     def test_shared_pool_sweep_counts(self, monkeypatch):
         # one cfar_sweep on a shared pool: one rekey per trial of each job,
-        # one _run_chunk call and one _draw_batch call per task
+        # one _run_chunk call per task, and one _draw_batch call per GIL-bound task
         rekeys, run_chunks, draws = [], [], []
         real_rekeyer = streams.stream_rekeyer
         real_run_chunk = montecarlo._run_chunk
@@ -245,15 +246,15 @@ class TestTraceEntryPoints:
 
             return counted
 
-        def run_chunk(jobs, models, pieces):
+        def run_chunk(jobs, models, pieces, *rest):
             run_chunks.append(
                 [(jobs[p.sample].master_seed, (p.start, p.stop)) for p in pieces]
             )
-            return real_run_chunk(jobs, models, pieces)
+            return real_run_chunk(jobs, models, pieces, *rest)
 
-        def draw(jobs, models, pieces):
+        def draw(jobs, models, pieces, *rest):
             draws.append([(jobs[p.sample].master_seed, (p.start, p.stop)) for p in pieces])
-            return real_draw(jobs, models, pieces)
+            return real_draw(jobs, models, pieces, *rest)
 
         monkeypatch.setattr(montecarlo, "stream_rekeyer", counting_rekeyer)
         monkeypatch.setattr(montecarlo, "_run_chunk", run_chunk)
@@ -366,9 +367,9 @@ class TestTaskPlan:
         seen = []
         real_run_chunk = montecarlo._run_chunk
 
-        def run_chunk(jobs, models, pieces):
+        def run_chunk(jobs, models, pieces, *rest):
             seen.append(pieces)
-            return real_run_chunk(jobs, models, pieces)
+            return real_run_chunk(jobs, models, pieces, *rest)
 
         monkeypatch.setattr(montecarlo, "_run_chunk", run_chunk)
         cfar_sweep("glr", CFG, [0.5, 1.0], [0.0], 0.05, 3000, 1,
@@ -376,29 +377,30 @@ class TestTaskPlan:
         assert sorted(seen) == montecarlo._plan([2000, 3000])
 
     def test_task_rows_reach_outputs_as_one_slice(self, monkeypatch):
-        # every task holds consecutive rows of the call's outputs, which lay
-        # the samples out in job order
+        # every task writes straight into consecutive rows of the call's
+        # outputs, which lay the samples out in job order
         tasks = []
         real_run_chunk = montecarlo._run_chunk
 
-        def run_chunk(jobs, models, pieces):
-            values, lam = real_run_chunk(jobs, models, pieces)
-            tasks.append((pieces, values, lam))
-            return values, lam
+        def run_chunk(jobs, models, pieces, out, scratch):
+            tasks.append((pieces, out))
+            return real_run_chunk(jobs, models, pieces, out, scratch)
 
         monkeypatch.setattr(montecarlo, "_run_chunk", run_chunk)
         names, sizes = ["glr", "rao"], (4095, 3, 4097)
         jobs = [montecarlo._Job(CFG, names, n, 30 + j, True) for j, n in enumerate(sizes)]
         values, lam, offsets = montecarlo._collect(jobs, workers=2)
         assert offsets.tolist() == [0, 4095, 4098, 8195]
-        assert sorted(len(p) for p, _, _ in tasks) == [1, 2, 2]
-        for pieces, task_values, task_lam in tasks:
+        assert sorted(len(p) for p, _ in tasks) == [1, 2, 2]
+        for pieces, (task_values, task_lam) in tasks:
             first = offsets[pieces[0].sample] + pieces[0].start
-            rows = slice(first, first + len(task_lam))
             assert first % montecarlo._CHUNK == 0
-            assert lam[rows].tobytes() == task_lam.tobytes()
+            assert task_lam.base is lam and len(task_lam) == pieces[-1].rows.stop
+            assert (task_lam.ctypes.data - lam.ctypes.data) // lam.strides[0] == first
             for name in names:
-                assert values[name][rows].tobytes() == task_values[name].tobytes()
+                view = task_values[name]
+                assert view.base is values[name] and len(view) == len(task_lam)
+                assert (view.ctypes.data - values[name].ctypes.data) // 8 == first
         # sample 0 is one 4095-row piece here and alone
         alone = statistic_samples(CFG, names, sizes[0], 30)
         for name in names:
@@ -438,8 +440,8 @@ class TestTaskPlan:
         # trial 1 of the cell, row 4 of the stack, has a singular S22
         real_draw = montecarlo._draw_batch
 
-        def draw(jobs, models, pieces):
-            zp, s = real_draw(jobs, models, pieces)
+        def draw(*args):
+            zp, s = real_draw(*args)
             s[4, 1:, 1:] = 0.0
             return zp, s
 
@@ -447,6 +449,104 @@ class TestTaskPlan:
         assert [len(t) for t in montecarlo._plan([3, 3])] == [2]
         with pytest.raises(DegenerateStatisticError, match=r"^trial 1: scatter block S22"):
             cfar_sweep("glr", CFG, [0.5, 1.0], [0.0], 0.05, 3, 9)
+
+
+class TestGrouping:
+    """A trial's ``(zp, s)`` and values do not depend on how trials are grouped.
+
+    One call lines up samples that share the target seed so that the same
+    trials sit in pieces of 4095, 2, 18, 19 and 63 rows and, in the last
+    sample, across a block boundary inside a block of two pieces (N = 32)
+    and across a task boundary. Each is compared with the trial drawn alone.
+    """
+
+    CASES = (
+        ScenarioConfig(n=3, k=6, rho=0.5, cnr_db=5.0, nu=0.1, hypothesis="H1", sinr_db=8.0),
+        ScenarioConfig(n=8, k=16, rho=0.9, cnr_db=10.0, nu=0.1, gamma=2.0),
+        ScenarioConfig(n=32, k=64, rho=0.9, cnr_db=10.0, nu=0.1, hypothesis="H1",
+                       sinr_db=10.0),
+    )
+    SEED, FILLER_SEED = 41, 42
+    NAMES = list(detectors.STATISTIC_NAMES)
+    # sizes of the target samples, and the fillers that place them
+    SIZES = [4095, 1, 2, 18, 19, 63, 3894, 300]
+    TARGETS = (0, 2, 3, 4, 5, 7)
+    INDICES = (0, 1, 17, 18, 35, 36, 62, 99, 100, 251, 252, 299, 4094)
+
+    def _alone(self, cfg, index):
+        job = montecarlo._Job(cfg, self.NAMES, index + 1, self.SEED)
+        out = ({name: np.empty(1) for name in self.NAMES}, None)
+        piece = montecarlo._Piece(0, index, index + 1, 0)
+        scratch = montecarlo._Scratch(1, cfg.n, cfg.k)
+        montecarlo._run_chunk([job], [montecarlo._chunk_maps(cfg)], (piece,), out, scratch)
+        zp, s = draw_task(cfg, index, 1, self.SEED)
+        return zp[0], s[0], {name: out[0][name][0] for name in self.NAMES}
+
+    def test_layout_plan(self):
+        # the last sample straddles a task boundary after its trial 99; at
+        # N = 32 (blocks of 252 rows) a block holds filler and its trials 0..35
+        tasks = montecarlo._plan(self.SIZES)
+        assert [[(p.sample, p.start, p.stop) for p in t] for t in tasks] == [
+            [(0, 0, 4095), (1, 0, 1)],
+            [(2, 0, 2), (3, 0, 18), (4, 0, 19), (5, 0, 63), (6, 0, 3894), (7, 0, 100)],
+            [(7, 100, 300)],
+        ]
+        blocks = montecarlo._cut([(p.sample, p.start, p.stop) for p in tasks[1]], 252)
+        assert [(p.sample, p.start, p.stop) for p in blocks[15]] == [(6, 3678, 3894), (7, 0, 36)]
+        assert montecarlo._block_rows(32, 64, 8392) == 252
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("cfg", CASES, ids=lambda c: f"n{c.n}")
+    def test_trial_is_byte_identical_in_every_layout(self, monkeypatch, cfg, workers):
+        alone = {i: self._alone(cfg, i) for i in self.INDICES}
+        drawn = {}
+        real_draw = montecarlo._draw_batch
+
+        def draw(jobs, models, pieces, scratch):
+            zp, s = real_draw(jobs, models, pieces, scratch)
+            for p in pieces:
+                for i in set(self.INDICES).intersection(range(p.start, p.stop)):
+                    row = p.row + i - p.start
+                    drawn[p.sample, i] = zp[row].copy(), s[row].copy()
+            return zp, s
+
+        monkeypatch.setattr(montecarlo, "_draw_batch", draw)
+        jobs = [
+            montecarlo._Job(cfg, self.NAMES, size, self.SEED if j in self.TARGETS
+                            else self.FILLER_SEED)
+            for j, size in enumerate(self.SIZES)
+        ]
+        values, _, offsets = montecarlo._collect(jobs, workers)
+        checked = 0
+        for j in self.TARGETS:
+            for i in (i for i in self.INDICES if i < self.SIZES[j]):
+                zp, s, ref = alone[i]
+                assert drawn[j, i][0].tobytes() == zp.tobytes()
+                assert drawn[j, i][1].tobytes() == s.tobytes()
+                for name in self.NAMES:
+                    assert values[name][offsets[j] + i].tobytes() == ref[name].tobytes()
+                checked += 1
+        assert checked == 13 + 2 + 3 + 4 + 7 + 12  # every index inside each target
+
+
+def test_task_memory_does_not_grow_with_its_rows():
+    # one N = 32 task holds its block buffers, never a task-wide array
+    cfg = ScenarioConfig(n=32, k=64, rho=0.9, cnr_db=10.0, nu=0.1)
+    maps = montecarlo._chunk_maps(cfg)
+
+    def peak(rows):
+        job = montecarlo._Job(cfg, ["glr"], rows, 3)
+        out = ({"glr": np.empty(rows)}, None)
+        scratch = montecarlo._Scratch(montecarlo._block_rows(cfg.n, cfg.k, rows), cfg.n, cfg.k)
+        tracemalloc.start()
+        try:
+            montecarlo._run_chunk([job], [maps], montecarlo._plan([rows])[0], out, scratch)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    full, quarter = peak(4096), peak(1024)
+    assert abs(full - quarter) < 1 << 20, (full, quarter)
 
 
 class TestSharedPool:
@@ -523,7 +623,8 @@ class TestSharedPool:
         # and so does a task of nine pieces, one per sample
         [pieces] = montecarlo._plan([1] * 9)
         jobs = [montecarlo._Job(small, [], 1, seed) for seed in range(9)]
-        montecarlo._draw_batch(jobs, [montecarlo._chunk_maps(small)] * 9, pieces)
+        scratch = montecarlo._Scratch(9, small.n, small.k)
+        montecarlo._draw_batch(jobs, [montecarlo._chunk_maps(small)] * 9, pieces, scratch)
         assert len(pieces) == 9 and len(entered) == 3
 
 

@@ -47,11 +47,8 @@ class TestAssemble:
 
     def test_block_views_consistent(self, stat_factory):
         stat = stat_factory(0)
-        assert np.array_equal(stat.s21, stat.s12.T)
-        assert np.array_equal(stat.zp[0:1], stat.z1p)
-        assert np.array_equal(stat.zp[1:], stat.z2p)
-        assert stat.s11 == stat.s[0, 0]
-        assert np.array_equal(stat.s22, stat.s[1:, 1:])
+        assert np.array_equal(stat.s[1:, :1], stat.s[:1, 1:].T)
+        assert stat.zp.shape == (stat.n, 2) and stat.s.shape == (stat.n, stat.n)
 
     def test_too_few_secondaries_rejected(self):
         with pytest.raises(SingularSecondaryError):
@@ -99,7 +96,8 @@ class TestComputePsi:
             stat = stat_factory(seed)
             psis = compute_psi(stat)
             ref0 = np.linalg.eigvalsh(stat.zp.T @ np.linalg.solve(stat.s, stat.zp))[::-1]
-            ref1 = np.linalg.eigvalsh(stat.z2p.T @ np.linalg.solve(stat.s22, stat.z2p))[::-1]
+            z2p, s22 = stat.zp[1:], stat.s[1:, 1:]
+            ref1 = np.linalg.eigvalsh(z2p.T @ np.linalg.solve(s22, z2p))[::-1]
             assert np.allclose(psis.lam[:2], ref0, rtol=1e-10, atol=1e-12)
             assert np.allclose(psis.lam[2:], ref1, rtol=1e-10, atol=1e-12)
 
@@ -240,9 +238,10 @@ class TestRankOneStructure:
         for seed in range(40):
             stat = stat_factory(seed)
             psis = compute_psi(stat)
-            y = np.linalg.solve(stat.s22, stat.z2p)
-            w = stat.z1p - stat.s12 @ y
-            s_cond = stat.s11 - (stat.s12 @ np.linalg.solve(stat.s22, stat.s21)).item()
+            s12, s22 = stat.s[:1, 1:], stat.s[1:, 1:]
+            y = np.linalg.solve(s22, stat.zp[1:])
+            w = stat.zp[:1] - s12 @ y
+            s_cond = stat.s[0, 0] - (s12 @ np.linalg.solve(s22, stat.s[1:, :1])).item()
             assert s_cond > 0.0
             update = (w.T @ w) / s_cond
             diff = psis.psi0 - psis.psi1
