@@ -21,26 +21,21 @@ or an ancillarity check), in order, and cuts them into tasks of ``_CHUNK``
 trials; a task may cross samples. The plan depends only on the sample
 sizes, and samples that are multiples of ``_CHUNK`` are cut exactly as they
 would be alone. All tasks share one thread pool of ``workers`` threads. A
-task walks its trials in draw blocks, which may also cross samples: each
-block is filled with one rekeyer, each piece from its own sample's streams
-and maps, then solved for psi and evaluated for each statistic, and its rows
-go straight into the call's outputs, which hold all trials in plan order.
-A per-trial draw loop alternates a Python rekey, which holds the GIL, with a
-normal fill, which releases it. When a trial draws few normals the two take
-about equally long, so concurrent draw loops would only trade the GIL on
-every trial; such a task is one block, filled under one hold of a module
-lock, and the workers that wait for it sleep while the others run the GEMM,
-solve and detector stages. Larger trials are drawn in blocks of at most
-``_DRAW_BLOCK`` normals. Each worker makes one set of block buffers per
-call and reuses it for all of its blocks, so its memory is one block's
-working set for any N and K, not a task's.
+task walks its trials in draw blocks of at most ``_DRAW_BLOCK`` normals,
+which may also cross samples: each block is filled with one rekeyer, each
+piece from its own sample's streams and maps, then solved for psi and
+evaluated for each statistic, and its rows go straight into the call's
+outputs, which hold all trials in plan order. A block shares no state with
+any other, so the workers fill theirs concurrently for any N and K: the
+per-trial rekey holds the GIL, but the normal fill, most of a draw, releases
+it. Each worker makes one set of block buffers per call and reuses it for
+all of its blocks, so its memory is one block's working set, not a task's.
 """
 
 import math
 import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import product
@@ -56,14 +51,10 @@ from .statistics import _any, _degenerate_lambda4, _eig2, _psi_batch, check_supp
 from .streams import derive_seed, stream_rekeyer
 
 _CHUNK = 4096  # fixed: results must not depend on worker count
-# Normals per draw block (8 MB) of a draw that is not bound by the GIL.
-_DRAW_BLOCK = 1 << 20
+# Normals per draw block (2 MB).
+_DRAW_BLOCK = 1 << 18
 # Values (1 MB) of each of a worker's two secondary GEMM outputs.
 _GEMM_BLOCK = 1 << 17
-# Draw loops whose trials draw fewer normals than this, 2N(K+1), are bound
-# by the GIL and run one at a time (N=8, K=16 draws 272; N=32, K=64 4160).
-_GIL_BOUND_NORMALS = 1024
-_DRAW_LOCK = threading.Lock()
 _Z95 = 1.959963984540054
 _BAND_SIGMAS = 3.0
 
@@ -212,10 +203,8 @@ def _plan(sizes: Sequence[int]) -> list:
 
 
 def _block_rows(n: int, k: int, trials: int) -> int:
-    """Rows of a draw block: a whole task when GIL-bound, else ``_DRAW_BLOCK`` normals."""
-    width = 2 * n * (k + 1)
-    rows = _CHUNK if width < _GIL_BOUND_NORMALS else max(1, _DRAW_BLOCK // width)
-    return min(rows, trials)
+    """Rows of a draw block: ``_DRAW_BLOCK`` normals, at most a task or the call."""
+    return min(_CHUNK, max(1, _DRAW_BLOCK // (2 * n * (k + 1))), trials)
 
 
 class _Scratch(threading.local):
@@ -223,10 +212,11 @@ class _Scratch(threading.local):
 
     A worker makes its set on its first block and reuses it for all of its
     later blocks and tasks; the set goes when the call drops this object.
-    The normals, Zp and S hold a whole block. The two secondary GEMM outputs
-    hold ``gemm_rows`` rows at a time, at most ``_GEMM_BLOCK`` values each:
-    whole-block outputs would double the set, and the heap of every thread
-    that held a set keeps its pages after the call.
+    The normals (2 MB), Zp and S hold a whole block. The two secondary GEMM
+    outputs hold ``gemm_rows`` rows at a time, at most ``_GEMM_BLOCK`` values
+    (1 MB) each: whole-block outputs would enlarge the set, and the heap of
+    every thread that held a set keeps its pages after the call. A set is
+    about 4.6 MB at N = 8, K = 16 and 4.5 MB at N = 32, K = 64.
     """
 
     def __init__(self, rows: int, n: int, k: int):
@@ -251,11 +241,11 @@ def _draw_batch(jobs: Sequence[_Job], models: Sequence[_ChunkMaps], pieces, scra
     """Canonical ``(Zp, S)`` of one draw block, stacked in piece order.
 
     One rekeyer fills the block's normals in the worker's buffer, each
-    trial's stream read in the order of :func:`scenario.sample_dataset`; a
-    GIL-bound block (fewer than ``_GIL_BOUND_NORMALS`` normals a trial) is
-    filled under one hold of ``_DRAW_LOCK``. Each piece is then mapped with
-    its own sample's maps through ``out=`` into the worker's buffers, its
-    secondaries ``gemm_rows`` trials at a time. Every GEMM is per trial (a
+    trial's stream read in the order of :func:`scenario.sample_dataset`; the
+    fill shares no state with other blocks, so workers fill theirs
+    concurrently. Each piece is then mapped with its own sample's maps
+    through ``out=`` into the worker's buffers, its secondaries
+    ``gemm_rows`` trials at a time. Every GEMM is per trial (a
     trial's primaries are one vector-matrix product), so no value depends on
     the block, the slice or the other trials in it. The returned
     ``zp`` ``(rows, N, 2)`` and ``s`` ``(rows, N, N)`` are views that the
@@ -267,11 +257,10 @@ def _draw_batch(jobs: Sequence[_Job], models: Sequence[_ChunkMaps], pieces, scra
     kn, m, step = k * n, pieces[-1].rows.stop, scratch.gemm_rows
     buf, zp, s, zs_re, zs_im = scratch.take(m)
     rekey = stream_rekeyer()
-    with _DRAW_LOCK if buf.shape[1] < _GIL_BOUND_NORMALS else nullcontext():
-        for p in pieces:
-            master_seed, blk = jobs[p.sample].master_seed, buf[p.rows]
-            for j in range(blk.shape[0]):
-                rekey(master_seed, p.start + j).standard_normal(out=blk[j])
+    for p in pieces:
+        master_seed, blk = jobs[p.sample].master_seed, buf[p.rows]
+        for j in range(blk.shape[0]):
+            rekey(master_seed, p.start + j).standard_normal(out=blk[j])
     for p in pieces:
         maps, rows = models[p.sample], p.rows
         for a in range(rows.start, rows.stop, step):

@@ -8,6 +8,7 @@ covariance up to the power scaling ``gamma`` (partially homogeneous
 environment).
 """
 
+import cmath
 import math
 import numbers
 from dataclasses import dataclass, replace
@@ -51,6 +52,21 @@ def _check_count(value, what: str) -> int:
     return value
 
 
+def _db_power(level_db: float, what: str) -> float:
+    """``10 ** (level_db / 10)``; ``ValueError`` naming ``what`` unless it is finite.
+
+    NaN, ``+inf`` and a level whose power overflows are rejected; ``-inf``
+    is zero power.
+    """
+    try:
+        power = 10.0 ** (level_db / 10.0)
+    except OverflowError:
+        power = math.inf
+    if not power < math.inf:
+        raise ValueError(f"{what} must be a dB level with a finite power, not {level_db!r}")
+    return power
+
+
 def steering(n: int, nu: float) -> SteeringVector:
     """Unit-norm persymmetric steering vector at normalized frequency ``nu``.
 
@@ -77,7 +93,7 @@ def covariance_model(
     # Hermitian Toeplitz: entry (i, j) is col[i - j] on and below the
     # diagonal and conj(col[j - i]) above it, as scipy.linalg.toeplitz
     vals = np.concatenate((col[:0:-1].conj(), col))
-    sigma_c2 = 10.0 ** (cnr_db / 10.0)
+    sigma_c2 = _db_power(cnr_db, "cnr_db")
     m = sigma_c2 * vals[lags[:, None] - lags + (int(n) - 1)] + np.eye(int(n))
     return PersymmetricCovariance(m)
 
@@ -116,8 +132,9 @@ class ScenarioConfig:
             raise ValueError("doppler_fc must be in [-0.5, 0.5)")
         if not -0.5 <= self.nu < 0.5:
             raise ValueError("nu must be in [-0.5, 0.5)")
-        if not self.gamma > 0.0:
-            raise ValueError("gamma must be positive")
+        if not 0.0 < self.gamma < math.inf:
+            raise ValueError(f"gamma must be positive and finite, not {self.gamma!r}")
+        _db_power(self.cnr_db, "cnr_db")
         if self.hypothesis not in ("H0", "H1"):
             raise ValueError("hypothesis must be 'H0' or 'H1'")
         has_alpha = self.alpha is not None
@@ -128,6 +145,10 @@ class ScenarioConfig:
             raise ValueError("H1 scenarios need exactly one of alpha / sinr_db")
         if has_alpha:
             object.__setattr__(self, "alpha", complex(self.alpha))
+            if not cmath.isfinite(self.alpha):
+                raise ValueError(f"alpha must be finite, not {self.alpha!r}")
+        if has_sinr:
+            _db_power(self.sinr_db, "sinr_db")
 
 
 @dataclass(frozen=True)
@@ -220,7 +241,7 @@ def alpha_for_sinr(sinr_db: float, phase: float, s, m0) -> complex:
     if sinr_db == -np.inf:
         return 0.0 + 0.0j
     quad = float(_whitened_power(s, m0))
-    mag = np.sqrt(10.0 ** (sinr_db / 10.0) / (2.0 * quad))
+    mag = np.sqrt(_db_power(sinr_db, "sinr_db") / (2.0 * quad))
     return complex(mag * np.exp(1j * phase))
 
 

@@ -356,6 +356,31 @@ def test_non_numeric_field_is_config_error(tmp_path, capsys, command, field, val
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, field, value, named",
+    [
+        ("roc", "sinr_db", float("nan"), "sinr_db"),
+        ("roc", "sinr_db", 1e5, "sinr_db"),
+        ("roc", "sinr_grid", [5.0, float("nan")], "sinr_db"),
+        ("roc", "cnr_db", 1e5, "cnr_db"),
+        ("roc", "cnr_db", float("nan"), "cnr_db"),
+        ("cfar", "cnr_db", float("inf"), "cnr_db"),
+        ("cfar", "gamma_grid", [1.0, float("inf")], "gamma"),
+        ("mis-sample", "gamma", float("inf"), "gamma"),
+        ("mis-sample", "alpha_re", float("nan"), "alpha"),
+    ],
+    ids=lambda v: v if isinstance(v, str) else json.dumps(v),
+)
+def test_non_finite_level_is_config_error(tmp_path, capsys, command, field, value, named):
+    base = {"cfar": TestCfar.CFG, "roc": TestRoc.CFG, "mis-sample": TestMisSample.CFG}
+    cfg = _write(tmp_path / "c.json", {**base[command], field: value})
+    out = tmp_path / "x.out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {named} must be") and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_import_leaves_scipy_stats_and_linalg_unloaded():
     # both take most of the start-up time; only the calls that need them load them
     import persymdet

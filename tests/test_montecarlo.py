@@ -231,7 +231,7 @@ class TestTraceEntryPoints:
 
     def test_shared_pool_sweep_counts(self, monkeypatch):
         # one cfar_sweep on a shared pool: one rekey per trial of each job,
-        # one _run_chunk call per task, and one _draw_batch call per GIL-bound task
+        # one _run_chunk call per task, and one _draw_batch call per draw block
         rekeys, run_chunks, draws = [], [], []
         real_rekeyer = streams.stream_rekeyer
         real_run_chunk = montecarlo._run_chunk
@@ -279,12 +279,23 @@ class TestTraceEntryPoints:
         ]
         assert montecarlo._CHUNK == 4096
         assert sorted(run_chunks) == sorted(expected_tasks)
-        assert sorted(draws) == sorted(expected_tasks)  # five draws, not eight
+        # each task in blocks of 963 trials (2N(K+1) = 272 normals each)
+        rows = montecarlo._block_rows(CFG.n, CFG.k, montecarlo._CHUNK)
+        assert rows == 963
+        expected_draws = [
+            [(task[p.sample][0], (p.start, p.stop)) for p in block]
+            for task in expected_tasks
+            for block in montecarlo._cut(
+                [(j, a, b) for j, (_, (a, b)) in enumerate(task)], rows
+            )
+        ]
+        assert len(expected_draws) == 4 * 5 + 4  # four full tasks, one of 3116 trials
+        assert sorted(draws) == sorted(expected_draws)
 
     def test_one_psi_and_one_detector_call_per_chunk(self, monkeypatch):
         # the traced benchmark times psi as montecarlo._psi_batch and each
-        # statistic as detectors._batch_values inside every _run_chunk,
-        # however many pieces the task stacks
+        # statistic as detectors._batch_values inside every _run_chunk: once
+        # per draw block, however many pieces the block stacks
         local, calls = threading.local(), []
         real_run_chunk = montecarlo._run_chunk
         real_psi = montecarlo._psi_batch
@@ -311,7 +322,10 @@ class TestTraceEntryPoints:
         cfar_sweep(names, CFG, [0.5, 1.0], [0.0, 0.9], 0.05, 5_000, 7,
                    calibration_trials=4_500, workers=2)
         assert len(calls) == 5  # calibration and three cells: 19 500 trials
-        assert all(sorted(c) == sorted(["psi"] + names) for c in calls)
+        # four 4096-trial tasks of five 963-trial blocks, and one of 3116 in four
+        assert sorted(c.count("psi") for c in calls) == [4, 5, 5, 5, 5]
+        for c in calls:
+            assert Counter(c) == Counter({name: c.count("psi") for name in ["psi", *names]})
 
 
 def _per_sample_plan(sizes):
@@ -455,9 +469,11 @@ class TestGrouping:
     """A trial's ``(zp, s)`` and values do not depend on how trials are grouped.
 
     One call lines up samples that share the target seed so that the same
-    trials sit in pieces of 4095, 2, 18, 19 and 63 rows and, in the last
-    sample, across a block boundary inside a block of two pieces (N = 32)
-    and across a task boundary. Each is compared with the trial drawn alone.
+    trials sit in pieces of 4095, 2, 18, 19 and 63 rows, across the block
+    boundaries of the first sample (trials 962 | 963 at N = 8, 62 | 63 and
+    251 | 252 at N = 32) and, in the last sample, across a block boundary
+    inside a block of two pieces (N = 32) and across a task boundary. Each
+    is compared with the trial drawn alone.
     """
 
     CASES = (
@@ -471,7 +487,7 @@ class TestGrouping:
     # sizes of the target samples, and the fillers that place them
     SIZES = [4095, 1, 2, 18, 19, 63, 3894, 300]
     TARGETS = (0, 2, 3, 4, 5, 7)
-    INDICES = (0, 1, 17, 18, 35, 36, 62, 99, 100, 251, 252, 299, 4094)
+    INDICES = (0, 1, 17, 18, 35, 36, 62, 99, 100, 251, 252, 299, 962, 963, 4094)
 
     def _alone(self, cfg, index):
         job = montecarlo._Job(cfg, self.NAMES, index + 1, self.SEED)
@@ -484,16 +500,16 @@ class TestGrouping:
 
     def test_layout_plan(self):
         # the last sample straddles a task boundary after its trial 99; at
-        # N = 32 (blocks of 252 rows) a block holds filler and its trials 0..35
+        # N = 32 (blocks of 63 rows) a block holds filler and its trials 0..35
         tasks = montecarlo._plan(self.SIZES)
         assert [[(p.sample, p.start, p.stop) for p in t] for t in tasks] == [
             [(0, 0, 4095), (1, 0, 1)],
             [(2, 0, 2), (3, 0, 18), (4, 0, 19), (5, 0, 63), (6, 0, 3894), (7, 0, 100)],
             [(7, 100, 300)],
         ]
-        blocks = montecarlo._cut([(p.sample, p.start, p.stop) for p in tasks[1]], 252)
-        assert [(p.sample, p.start, p.stop) for p in blocks[15]] == [(6, 3678, 3894), (7, 0, 36)]
-        assert montecarlo._block_rows(32, 64, 8392) == 252
+        blocks = montecarlo._cut([(p.sample, p.start, p.stop) for p in tasks[1]], 63)
+        assert [(p.sample, p.start, p.stop) for p in blocks[63]] == [(6, 3867, 3894), (7, 0, 36)]
+        assert montecarlo._block_rows(32, 64, 8392) == 63
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("cfg", CASES, ids=lambda c: f"n{c.n}")
@@ -526,18 +542,17 @@ class TestGrouping:
                 for name in self.NAMES:
                     assert values[name][offsets[j] + i].tobytes() == ref[name].tobytes()
                 checked += 1
-        assert checked == 13 + 2 + 3 + 4 + 7 + 12  # every index inside each target
+        assert checked == 15 + 2 + 3 + 4 + 7 + 12  # every index inside each target
 
 
 def test_task_memory_does_not_grow_with_its_rows():
-    # one N = 32 task holds its block buffers, never a task-wide array
-    cfg = ScenarioConfig(n=32, k=64, rho=0.9, cnr_db=10.0, nu=0.1)
-    maps = montecarlo._chunk_maps(cfg)
-
-    def peak(rows):
+    # one task holds its block buffers, never a task-wide array, and a full
+    # task stays within 8 MB at N = 8 and at N = 32
+    def peak(cfg, rows):
         job = montecarlo._Job(cfg, ["glr"], rows, 3)
         out = ({"glr": np.empty(rows)}, None)
         scratch = montecarlo._Scratch(montecarlo._block_rows(cfg.n, cfg.k, rows), cfg.n, cfg.k)
+        maps = montecarlo._chunk_maps(cfg)
         tracemalloc.start()
         try:
             montecarlo._run_chunk([job], [maps], montecarlo._plan([rows])[0], out, scratch)
@@ -545,8 +560,11 @@ def test_task_memory_does_not_grow_with_its_rows():
         finally:
             tracemalloc.stop()
 
-    full, quarter = peak(4096), peak(1024)
-    assert abs(full - quarter) < 1 << 20, (full, quarter)
+    for cfg in (ScenarioConfig(n=8, k=16, rho=0.9, cnr_db=10.0, nu=0.1),
+                ScenarioConfig(n=32, k=64, rho=0.9, cnr_db=10.0, nu=0.1)):
+        full, quarter = peak(cfg, 4096), peak(cfg, 1024)
+        assert abs(full - quarter) < 1 << 20, (cfg.n, full, quarter)
+        assert full < 8 << 20, (cfg.n, full)
 
 
 class TestSharedPool:
@@ -580,7 +598,7 @@ class TestSharedPool:
 
     def test_concurrent_calls_share_the_draw_lock_safely(self):
         # two user threads, each on its own pool (more threads than cores),
-        # contend for the module lock with frequent GIL switches
+        # draw concurrently with frequent GIL switches
         cases = [(CFG, 8), (ScenarioConfig(n=6, k=12, rho=0.9, gamma=2.0), 9)]
         serial = [statistic_samples(c, ["glr", "rao"], 9_000, s) for c, s in cases]
         barrier = threading.Barrier(len(cases))
@@ -600,32 +618,17 @@ class TestSharedPool:
             for name in ref:
                 assert np.array_equal(out[name], ref[name])
 
-    def test_draw_lock_only_when_gil_bound(self, monkeypatch):
-        entered = []
-
-        class RecordingLock:
-            def __enter__(self):
-                entered.append(True)
-
-            def __exit__(self, *exc):
-                return False
-
-        monkeypatch.setattr(montecarlo, "_DRAW_LOCK", RecordingLock())
-        small = ScenarioConfig(n=8, k=16)  # 2N(K+1) = 272 normals per trial
-        large = ScenarioConfig(n=32, k=64)  # 4160
-        draw_task(small, 0, 3, 1)
-        assert len(entered) == 1
-        draw_task(large, 0, 3, 1)
-        assert len(entered) == 1
-        # a full GIL-bound chunk stays one block under one hold of the lock
-        draw_task(small, 0, montecarlo._CHUNK, 1)
-        assert len(entered) == 2
-        # and so does a task of nine pieces, one per sample
-        [pieces] = montecarlo._plan([1] * 9)
-        jobs = [montecarlo._Job(small, [], 1, seed) for seed in range(9)]
-        scratch = montecarlo._Scratch(9, small.n, small.k)
-        montecarlo._draw_batch(jobs, [montecarlo._chunk_maps(small)] * 9, pieces, scratch)
-        assert len(pieces) == 9 and len(entered) == 3
+    def test_block_rows_follow_one_rule(self):
+        # _DRAW_BLOCK normals of 2N(K+1) each, for every trial size, capped
+        # by a task and by the call's trials, and never below one trial
+        for n, k, rows in ((3, 6, 4096), (8, 16, 963), (32, 64, 63), (256, 512, 1)):
+            width = 2 * n * (k + 1)
+            assert rows == min(montecarlo._CHUNK, max(1, montecarlo._DRAW_BLOCK // width))
+            assert montecarlo._block_rows(n, k, 10**6) == rows
+            assert montecarlo._block_rows(n, k, rows + 1) == rows
+            assert montecarlo._block_rows(n, k, 1) == 1
+        assert montecarlo._block_rows(8, 16, 500) == 500
+        assert montecarlo._DRAW_BLOCK == 1 << 18  # 2 MB of normals
 
 
 class TestValidation:

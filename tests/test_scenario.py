@@ -14,6 +14,7 @@ from persymdet import (
     steering,
     transform_covariance,
 )
+from persymdet import scenario
 from persymdet.streams import derive_stream
 
 
@@ -104,6 +105,25 @@ class TestScenarioConfig:
         for field in ("n", "k"):
             with pytest.raises(ValueError, match=f"^{field} must be an integer"):
                 ScenarioConfig(**{"n": 8, "k": 16, field: True})
+
+    @pytest.mark.parametrize("field,value", [
+        ("cnr_db", np.nan), ("cnr_db", np.inf), ("cnr_db", 1e5),
+        ("sinr_db", np.nan), ("sinr_db", np.inf), ("sinr_db", 1e5), ("sinr_db", 3083.0),
+        ("alpha", complex(np.nan, 0.0)), ("alpha", complex(0.0, np.inf)),
+        ("gamma", np.inf), ("gamma", np.nan),
+    ])
+    def test_non_finite_levels_rejected(self, field, value):
+        h1 = {"sinr_db": 3.0} if field != "alpha" else {}
+        kwargs = {"n": 8, "k": 16, "hypothesis": "H1", **h1, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            ScenarioConfig(**kwargs)
+
+    def test_extreme_finite_levels_accepted(self):
+        # -inf dB is zero power: no clutter, or no target
+        cfg = ScenarioConfig(n=4, k=8, cnr_db=-np.inf, hypothesis="H1", sinr_db=-np.inf)
+        assert np.array_equal(covariance_model(4, 0.5, 0.0, -np.inf).entries, np.eye(4))
+        assert scenario._prepare(cfg).alpha == 0.0
+        ScenarioConfig(n=4, k=8, cnr_db=300.0, hypothesis="H1", sinr_db=3000.0)
 
     def test_as_hypothesis(self):
         base = ScenarioConfig(n=8, k=16, rho=0.4)

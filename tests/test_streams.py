@@ -57,12 +57,10 @@ class TestDrawBatch:
 
     @pytest.mark.parametrize("cfg", CASES, ids=lambda c: f"n{c.n}-{c.hypothesis}")
     def test_matches_public_canonical_path(self, cfg):
-        seed, start, count = 99, 4_000_000_123, 6
-        width = 2 * cfg.n * (cfg.k + 1)
-        if width >= montecarlo._GIL_BOUND_NORMALS:
-            # drawn in blocks: span several and end in a ragged one
-            block = montecarlo._DRAW_BLOCK // width
-            count = 2 * block + block // 2
+        seed, start = 99, 4_000_000_123
+        # drawn in blocks: span several and end in a ragged one
+        block = montecarlo._block_rows(cfg.n, cfg.k, montecarlo._CHUNK)
+        count = 2 * block + block // 2
         zp, s = draw_task(cfg, start, count, seed)
         assert zp.shape == (count, cfg.n, 2) and s.shape == (count, cfg.n, cfg.n)
         xf = build_transform(steering(cfg.n, cfg.nu))
