@@ -56,8 +56,7 @@ def _values(name: str, e0, e1, k, n, index_base: int = 0):
     NumPy ufuncs, with squares written as products, so both round alike.
     Every check runs before the division it guards.
     """
-    tr0, det0 = _trace_det(*e0)
-    tr1, det1 = _trace_det(*e1)
+    tr0, tr1 = e0[0] + e0[3], e1[0] + e1[3]
     if name == NEGATIVE_CONTROL:
         return tr0
     positive = ((tr0, "psi0"), (tr1, "psi1"))
@@ -71,6 +70,14 @@ def _values(name: str, e0, e1, k, n, index_base: int = 0):
             )
     if name == _TWO_STEP:
         return tr0 / tr1
+    # scaling S by Tr psi1 > 0 is a group action and gives unit Tr psi1;
+    # there no product below over- or underflows, whatever the scale of S
+    a0, b0, c0, d0 = e0
+    a1, b1, c1, d1 = e1
+    e0 = (a0 / tr1, b0 / tr1, c0 / tr1, d0 / tr1)
+    e1 = (a1 / tr1, b1 / tr1, c1 / tr1, d1 / tr1)
+    tr0, det0 = _trace_det(*e0)
+    tr1, det1 = _trace_det(*e1)
     g0, _ = _gamma_hat(tr0, det0, k, n)
     g1, _ = _gamma_hat(tr1, det1, k, n)
     if name == _WALD:

@@ -99,9 +99,9 @@ def sample_group_element(
         raise ValueError(f"spread must be positive and finite, not {spread!r}")
     if n < 2:
         raise DimensionError("group elements require n >= 2")
-    if not max_condition < np.inf:
-        # a finite cap is what keeps G22 invertible
-        raise ValueError("max_condition must be finite")
+    if not 1.0 <= max_condition < np.inf:
+        # a finite cap is what keeps G22 invertible; no condition number is below 1
+        raise ValueError(f"max_condition must be finite and at least 1, not {max_condition!r}")
     for _ in range(_SAMPLING_ATTEMPTS):
         g = np.zeros((n, n))
         g[0, 0] = spread * rng.standard_normal()

@@ -7,8 +7,8 @@ and :func:`roc_curve` run the same order statistic and count.
 
 Trials are embarrassingly parallel. Each trial draws from its own
 counter-derived stream (see :mod:`persymdet.streams`), and every value of a
-trial depends on that stream only: not on the other trials of its task or
-block, the other samples of the call, or the worker count. Heavy linear
+trial depends on that stream only: not on the other trials of its block,
+the other samples of the call, or the worker count. Heavy linear
 algebra is evaluated in vectorized blocks that work in canonical
 coordinates throughout: cached real maps take each trial's normals straight
 to ``(Zp, S)``, with every product taken per trial, and one batched solve
@@ -17,19 +17,17 @@ the same psi kernel and detector formulas.
 
 A public call lines up the trials of all of its samples (every grid cell
 of a CFAR sweep and its calibration sample, both hypotheses of an ROC curve
-or an ancillarity check), in order, and cuts them into tasks of ``_CHUNK``
-trials; a task may cross samples. The plan depends only on the sample
-sizes, and samples that are multiples of ``_CHUNK`` are cut exactly as they
-would be alone. All tasks share one thread pool of ``workers`` threads. A
-task walks its trials in draw blocks of at most ``_DRAW_BLOCK`` normals,
-which may also cross samples: each block is filled with one rekeyer, each
-piece from its own sample's streams and maps, then solved for psi and
-evaluated for each statistic, and its rows go straight into the call's
-outputs, which hold all trials in plan order. A block shares no state with
-any other, so the workers fill theirs concurrently for any N and K: the
-per-trial rekey holds the GIL, but the normal fill, most of a draw, releases
-it. Each worker makes one set of block buffers per call and reuses it for
-all of its blocks, so its memory is one block's working set, not a task's.
+or an ancillarity check), in order, and cuts them once, into draw blocks of
+:func:`_block_rows` trials; a block may cross samples. The cut depends only
+on the sample sizes and N and K. Each block is one task on a thread pool of
+``workers`` threads: it is filled with one rekeyer, each piece from its own
+sample's streams and maps, then solved for psi and evaluated for each
+statistic, and its rows go straight into the call's outputs, which hold all
+trials in plan order. A block shares no state with any other, so the
+workers fill theirs concurrently for any N and K: the per-trial rekey holds
+the GIL, but the normal fill, most of a draw, releases it. Each worker makes
+one set of block buffers per call, ``_BLOCK_BYTES`` in all, and reuses it
+for all of its blocks.
 """
 
 import math
@@ -50,11 +48,8 @@ from .scenario import _check_count
 from .statistics import _any, _degenerate_lambda4, _eig2, _psi_batch, check_support
 from .streams import derive_seed, stream_rekeyer
 
-_CHUNK = 4096  # fixed: results must not depend on worker count
-# Normals per draw block (2 MB).
-_DRAW_BLOCK = 1 << 18
-# Values (1 MB) of each of a worker's two secondary GEMM outputs.
-_GEMM_BLOCK = 1 << 17
+# Bytes of one worker's draw-block buffers (4 MB); see _block_rows.
+_BLOCK_BYTES = 1 << 22
 _Z95 = 1.959963984540054
 _BAND_SIGMAS = 3.0
 
@@ -158,7 +153,7 @@ class _Job(NamedTuple):
 
 
 class _Piece(NamedTuple):
-    """Trials ``start .. stop - 1`` of sample ``sample``, at row ``row`` of a task."""
+    """Trials ``start .. stop - 1`` of sample ``sample``, at row ``row`` of a block."""
 
     sample: int
     start: int
@@ -167,74 +162,67 @@ class _Piece(NamedTuple):
 
     @property
     def rows(self) -> slice:
-        """The piece's rows in its task."""
+        """The piece's rows in its block."""
         return slice(self.row, self.row + self.stop - self.start)
 
 
-def _cut(spans, rows: int) -> list:
-    """Cut ``(sample, start, stop)`` spans, in order, into runs of ``rows`` rows.
+def _plan(sizes: Sequence[int], rows: int) -> list:
+    """Cut samples of ``sizes`` trials, in order, into blocks of ``rows`` rows.
 
-    Each run is a tuple of :class:`_Piece` whose ``row`` counts from the
-    start of the run; only the last run may be short, and a run boundary may
-    fall inside a span or between two.
+    Each block is a tuple of :class:`_Piece` whose ``row`` counts from the
+    start of the block; only the last block may be short, and a block
+    boundary may fall inside a sample or between two.
     """
-    runs, run, row = [], [], 0
-    for sample, start, size in spans:
+    blocks, block, row = [], [], 0
+    for sample, size in enumerate(sizes):
+        start = 0
         while start < size:
             stop = min(size, start + rows - row)
-            run.append(_Piece(sample, start, stop, row))
+            block.append(_Piece(sample, start, stop, row))
             row += stop - start
             start = stop
             if row == rows:
-                runs.append(tuple(run))
-                run, row = [], 0
-    if run:
-        runs.append(tuple(run))
-    return runs
-
-
-def _plan(sizes: Sequence[int]) -> list:
-    """Cut samples of ``sizes`` trials, in order, into tasks of ``_CHUNK`` rows.
-
-    The plan depends on the sizes alone, and when every size is a multiple
-    of ``_CHUNK`` each task is one ``_CHUNK``-trial piece of one sample.
-    """
-    return _cut([(sample, 0, size) for sample, size in enumerate(sizes)], _CHUNK)
+                blocks.append(tuple(block))
+                block, row = [], 0
+    if block:
+        blocks.append(tuple(block))
+    return blocks
 
 
 def _block_rows(n: int, k: int, trials: int) -> int:
-    """Rows of a draw block: ``_DRAW_BLOCK`` normals, at most a task or the call."""
-    return min(_CHUNK, max(1, _DRAW_BLOCK // (2 * n * (k + 1))), trials)
+    """Rows of a draw block: ``_BLOCK_BYTES`` of buffers, at most the call's trials.
+
+    A row holds a trial's normals ``2N(K+1)``, both secondary GEMM outputs
+    ``4KN``, Zp ``2N`` and S ``N^2`` doubles: 606 rows at N = 8, K = 16 and
+    39 at N = 32, K = 64. A block holds at least one trial.
+    """
+    row_bytes = 8 * (2 * n * (k + 1) + 4 * k * n + 2 * n + n * n)
+    return min(trials, max(1, _BLOCK_BYTES // row_bytes))
 
 
 class _Scratch(threading.local):
     """One worker's draw-block buffers for one call.
 
     A worker makes its set on its first block and reuses it for all of its
-    later blocks and tasks; the set goes when the call drops this object.
-    The normals (2 MB), Zp and S hold a whole block. The two secondary GEMM
-    outputs hold ``gemm_rows`` rows at a time, at most ``_GEMM_BLOCK`` values
-    (1 MB) each: whole-block outputs would enlarge the set, and the heap of
-    every thread that held a set keeps its pages after the call. A set is
-    about 4.6 MB at N = 8, K = 16 and 4.5 MB at N = 32, K = 64.
+    later blocks; the set goes when the call drops this object. Every buffer
+    holds a whole block of ``rows`` trials: the normals, both secondary GEMM
+    outputs, Zp and S, about ``_BLOCK_BYTES`` in all.
     """
 
     def __init__(self, rows: int, n: int, k: int):
         self.rows, self._dims, self._buffers = rows, (n, k), None
-        self.gemm_rows = min(rows, max(1, _GEMM_BLOCK // (2 * k * n)))
 
     def take(self, m: int) -> tuple:
-        """The first ``m`` rows of the normals, Zp and S, and both GEMM outputs."""
+        """The first ``m`` rows of the normals, Zp, S and both GEMM outputs."""
         if self._buffers is None:
             (n, k), rows = self._dims, self.rows
             self._buffers = (
                 np.empty((rows, 2 * n * (k + 1))),
                 np.empty((rows, 1, 2 * n)),
                 np.empty((rows, n, n)),
-                *np.empty((2, self.gemm_rows, k, 2 * n)),
+                *np.empty((2, rows, k, 2 * n)),
             )
-        buf, zp, s, zs_re, zs_im = self._buffers
-        return buf[:m], zp[:m], s[:m], zs_re, zs_im
+        return tuple(b[:m] for b in self._buffers)
 
 
 def _draw_batch(jobs: Sequence[_Job], models: Sequence[_ChunkMaps], pieces, scratch: _Scratch):
@@ -244,17 +232,16 @@ def _draw_batch(jobs: Sequence[_Job], models: Sequence[_ChunkMaps], pieces, scra
     trial's stream read in the order of :func:`scenario.sample_dataset`; the
     fill shares no state with other blocks, so workers fill theirs
     concurrently. Each piece is then mapped with its own sample's maps
-    through ``out=`` into the worker's buffers, its secondaries
-    ``gemm_rows`` trials at a time. Every GEMM is per trial (a
-    trial's primaries are one vector-matrix product), so no value depends on
-    the block, the slice or the other trials in it. The returned
-    ``zp`` ``(rows, N, 2)`` and ``s`` ``(rows, N, N)`` are views that the
-    worker's next block overwrites. Tests pin them to
-    ``assemble(canonicalize(sample_dataset(...)))``.
+    through ``out=`` into the worker's buffers, its secondaries by one GEMM
+    over its rows. Every GEMM is per trial (a trial's primaries are one
+    vector-matrix product), so no value depends on the block or the other
+    trials in it. The returned ``zp`` ``(rows, N, 2)`` and ``s``
+    ``(rows, N, N)`` are views that the worker's next block overwrites.
+    Tests pin them to ``assemble(canonicalize(sample_dataset(...)))``.
     """
     cfg = jobs[pieces[0].sample].cfg
     n, k = cfg.n, cfg.k
-    kn, m, step = k * n, pieces[-1].rows.stop, scratch.gemm_rows
+    kn, m = k * n, pieces[-1].rows.stop
     buf, zp, s, zs_re, zs_im = scratch.take(m)
     rekey = stream_rekeyer()
     for p in pieces:
@@ -262,18 +249,16 @@ def _draw_batch(jobs: Sequence[_Job], models: Sequence[_ChunkMaps], pieces, scra
         for j in range(blk.shape[0]):
             rekey(master_seed, p.start + j).standard_normal(out=blk[j])
     for p in pieces:
-        maps, rows = models[p.sample], p.rows
-        for a in range(rows.start, rows.stop, step):
-            r = slice(a, min(a + step, rows.stop))
-            zs, zi = zs_re[: r.stop - a], zs_im[: r.stop - a]
-            np.matmul(buf[r, 2 * n : 2 * n + kn].reshape(-1, k, n), maps.sec_re, out=zs)
-            np.matmul(buf[r, 2 * n + kn :].reshape(-1, k, n), maps.sec_im, out=zi)
-            zs += zi
-            # rows [z1k_j | z2k_j] split into the 2K real secondaries z1k_j, z2k_j
-            zs = zs.reshape(-1, 2 * k, n)
-            np.matmul(np.swapaxes(zs, 1, 2), zs, out=s[r])
-        zpr = zp[rows]
-        np.matmul(buf[rows, None, : 2 * n], maps.prim, out=zpr)
+        maps, r = models[p.sample], p.rows
+        zs, zi = zs_re[r], zs_im[r]
+        np.matmul(buf[r, 2 * n : 2 * n + kn].reshape(-1, k, n), maps.sec_re, out=zs)
+        np.matmul(buf[r, 2 * n + kn :].reshape(-1, k, n), maps.sec_im, out=zi)
+        zs += zi
+        # rows [z1k_j | z2k_j] split into the 2K real secondaries z1k_j, z2k_j
+        zs = zs.reshape(-1, 2 * k, n)
+        np.matmul(np.swapaxes(zs, 1, 2), zs, out=s[r])
+        zpr = zp[r]
+        np.matmul(buf[r, None, : 2 * n], maps.prim, out=zpr)
         if jobs[p.sample].cfg.hypothesis == "H1":
             zpr += maps.prim_mean
     return zp.reshape(m, n, 2), s
@@ -296,32 +281,26 @@ def _evaluate(zp, s, job: _Job, index_base: int):
 
 
 def _run_chunk(jobs: Sequence[_Job], models: Sequence[_ChunkMaps], pieces, out, scratch):
-    """One task, block by block: draw, map and evaluate each block as drawn.
+    """One draw block: draw, map and evaluate it, then write its rows.
 
     ``out`` is ``(values, lam)``: views of the call's outputs over the
-    task's rows, into which each block writes its rows.
+    block's rows.
     """
     values, lam = out
-    job, row = jobs[pieces[0].sample], 0
-    blocks = [pieces]
-    if pieces[-1].rows.stop > scratch.rows:
-        blocks = _cut([(p.sample, p.start, p.stop) for p in pieces], scratch.rows)
-    for block in blocks:
-        zp, s = _draw_batch(jobs, models, block, scratch)
-        try:
-            block_values, block_lam = _evaluate(zp, s, job, block[0].start)
-        except (DegenerateStatisticError, NearSingularDenominatorError):
-            # a row of the block is not a trial index: the first failing
-            # piece raises again on its own, naming the trial within its sample
-            for p in block:
-                _evaluate(zp[p.rows], s[p.rows], job, p.start)
-            raise
-        rows = slice(row, row + len(zp))
-        for name, arr in block_values.items():
-            values[name][rows] = arr
-        if lam is not None:
-            lam[rows] = block_lam
-        row = rows.stop
+    job = jobs[pieces[0].sample]
+    zp, s = _draw_batch(jobs, models, pieces, scratch)
+    try:
+        block_values, block_lam = _evaluate(zp, s, job, pieces[0].start)
+    except (DegenerateStatisticError, NearSingularDenominatorError):
+        # a row of the block is not a trial index: the first failing piece
+        # raises again on its own, naming the trial within its sample
+        for p in pieces:
+            _evaluate(zp[p.rows], s[p.rows], job, p.start)
+        raise
+    for name, arr in block_values.items():
+        values[name][:] = arr
+    if lam is not None:
+        lam[:] = block_lam
 
 
 def _collect(jobs: Sequence[_Job], workers: int):
@@ -329,9 +308,9 @@ def _collect(jobs: Sequence[_Job], workers: int):
 
     ``values`` maps each statistic to one array over all trials in job
     order, ``lam`` holds their eigenvalue quadruples (or is None), and job
-    ``j`` owns rows ``offsets[j] .. offsets[j + 1] - 1``. The tasks of
+    ``j`` owns rows ``offsets[j] .. offsets[j + 1] - 1``. The blocks of
     :func:`_plan` share one pool of ``workers`` threads, and each writes its
-    rows straight into the outputs, whatever order the tasks finish in.
+    rows straight into the outputs, whatever order the blocks finish in.
     """
     workers = _check_count(workers, "workers")
     shared = {(job.cfg.n, job.cfg.k, tuple(job.names), job.with_lam) for job in jobs}
@@ -345,24 +324,24 @@ def _collect(jobs: Sequence[_Job], workers: int):
     values = {name: np.empty(offsets[-1]) for name in jobs[0].names}
     lam = np.empty((offsets[-1], 4)) if jobs[0].with_lam else None
     n, k = jobs[0].cfg.n, jobs[0].cfg.k
-    scratch = _Scratch(_block_rows(n, k, int(offsets[-1])), n, k)
-    tasks = _plan(sizes)
+    rows = _block_rows(n, k, int(offsets[-1]))
+    scratch, blocks = _Scratch(rows, n, k), _plan(sizes, rows)
 
     def work(pieces):
         first = offsets[pieces[0].sample] + pieces[0].start
-        rows = slice(first, first + pieces[-1].rows.stop)
-        task_values = {name: arr[rows] for name, arr in values.items()}
-        task_lam = None if lam is None else lam[rows]
-        _run_chunk(jobs, models, pieces, (task_values, task_lam), scratch)
+        span = slice(first, first + pieces[-1].rows.stop)
+        block_values = {name: arr[span] for name, arr in values.items()}
+        block_lam = None if lam is None else lam[span]
+        _run_chunk(jobs, models, pieces, (block_values, block_lam), scratch)
 
-    if workers > 1 and len(tasks) > 1:
+    if workers > 1 and len(blocks) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            # map re-raises the first failing task in submission order, as
-            # the serial loop does, and cancels the tasks not yet started
-            list(pool.map(work, tasks))
+            # map re-raises the first failing block in submission order, as
+            # the serial loop does, and cancels the blocks not yet started
+            list(pool.map(work, blocks))
     else:
-        for task in tasks:
-            work(task)
+        for block in blocks:
+            work(block)
     return values, lam, offsets
 
 

@@ -99,13 +99,14 @@ def _eig2(p, b01, b10, q):
     """Descending eigenvalues ``(lmax, lmin)`` of symmetric 2x2 matrices.
 
     Closed form on the entries of ``[[p, b01], [b10, q]]``, as Python floats
-    or stacked arrays (floats and arrays round alike). The discriminant
-    ``(p - q)^2 + 4 b^2`` is clamped at zero, so round-off never produces
-    complex output; ties are returned as equal values with no ordering rule.
+    or stacked arrays (floats and arrays round alike). The root of the
+    discriminant ``(p - q)^2 + 4 b^2`` is taken by ``hypot``, which neither
+    over- nor underflows at any scale and is never complex; ties are
+    returned as equal values with no ordering rule.
     """
     b = 0.5 * (b01 + b10)
     tr = p + q
-    root = np.sqrt(np.maximum((p - q) * (p - q) + 4.0 * b * b, 0.0))
+    root = np.hypot(p - q, 2.0 * b)
     return 0.5 * (tr + root), 0.5 * (tr - root)
 
 
@@ -273,10 +274,18 @@ class ScaleEstimates:
 
 
 def scale_estimates(psis: PsiPair, k: int, n: int) -> ScaleEstimates:
-    """Scale MLEs ``gamma0_hat`` (from psi0) and ``gamma1_hat`` (from psi1)."""
-    e0, e1 = psis.entries
-    g0, b0 = _gamma_hat(*_trace_det(*e0), k, n)
-    g1, b1 = _gamma_hat(*_trace_det(*e1), k, n)
-    return ScaleEstimates(
-        gamma0_hat=float(g0), gamma1_hat=float(g1), beta0=float(b0), beta1=float(b1)
-    )
+    """Scale MLEs ``gamma0_hat`` (from psi0) and ``gamma1_hat`` (from psi1).
+
+    Each is evaluated on its form over its own trace and rescaled (``beta``
+    scales like the trace), so ``gamma_hat(phi S) = phi gamma_hat(S)`` holds
+    for every phi > 0 without overflow.
+    """
+    gammas, betas = [], []
+    for a, b, c, d in psis.entries:
+        tr = a + d
+        if tr <= 0.0:
+            raise DegenerateStatisticError("Tr[psi] must be positive for scale estimation")
+        g, beta = _gamma_hat(*_trace_det(a / tr, b / tr, c / tr, d / tr), k, n)
+        gammas.append(float(g / tr))
+        betas.append(float(beta * tr))
+    return ScaleEstimates(*gammas, *betas)

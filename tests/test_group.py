@@ -86,10 +86,17 @@ class TestSampling:
             assert checked.phi == e.phi and type(e.phi) is float
             assert not e.g.flags.writeable and not e.u.flags.writeable
 
-    @pytest.mark.parametrize("cap", [np.inf, np.nan])
-    def test_unbounded_condition_cap_rejected(self, rng, cap):
-        with pytest.raises(ValueError, match="finite"):
+    @pytest.mark.parametrize("cap", [np.inf, np.nan, 0.5, 0.0, -1.0])
+    def test_unbounded_condition_cap_rejected(self, rng, stat_factory, cap):
+        # no condition number is below 1, so such a cap is rejected before
+        # any candidate is drawn
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="^max_condition must be finite and at least 1"):
             sample_group_element(4, rng, max_condition=cap)
+        assert rng.bit_generator.state == state
+        with pytest.raises(ValueError, match="^max_condition"):
+            invariance_report(stat_factory(0, n=4, k=8), lambda s: s.n, 1, rng,
+                              max_condition=cap)
 
     def test_structure_validation(self):
         g = np.eye(3)

@@ -223,7 +223,7 @@ class TestTraceEntryPoints:
         assert len(rekeyers) == 1
         calls.clear()
         jobs = [montecarlo._Job(CFG, [], 5, 4), montecarlo._Job(CFG, [], 2, 5)]
-        [pieces] = montecarlo._plan([5, 2])
+        [pieces] = montecarlo._plan([5, 2], 7)
         models = [montecarlo._chunk_maps(CFG)] * 2
         montecarlo._draw_batch(jobs, models, pieces, montecarlo._Scratch(7, CFG.n, CFG.k))
         assert calls == [(4, j) for j in range(5)] + [(5, j) for j in range(2)]
@@ -231,7 +231,7 @@ class TestTraceEntryPoints:
 
     def test_shared_pool_sweep_counts(self, monkeypatch):
         # one cfar_sweep on a shared pool: one rekey per trial of each job,
-        # one _run_chunk call per task, and one _draw_batch call per draw block
+        # and one _run_chunk call and one _draw_batch call per draw block
         rekeys, run_chunks, draws = [], [], []
         real_rekeyer = streams.stream_rekeyer
         real_run_chunk = montecarlo._run_chunk
@@ -268,29 +268,18 @@ class TestTraceEntryPoints:
         ]
         expected_rekeys = Counter((s, i) for s, n in jobs for i in range(n))
         assert Counter(rekeys) == expected_rekeys
-        # 19 500 trials in job order, cut every 4096: five tasks, eight pieces
-        s0, s1, s2, s3 = (s for s, _ in jobs)
-        expected_tasks = [
-            [(s0, (0, 4096))],
-            [(s0, (4096, 4500)), (s1, (0, 3692))],
-            [(s1, (3692, 5000)), (s2, (0, 2788))],
-            [(s2, (2788, 5000)), (s3, (0, 1884))],
-            [(s3, (1884, 5000))],
+        # 19 500 trials in job order, cut every 606 rows (864 doubles each)
+        rows = montecarlo._block_rows(CFG.n, CFG.k, 19_500)
+        assert rows == 606
+        expected = [
+            [(jobs[p.sample][0], (p.start, p.stop)) for p in block]
+            for block in montecarlo._plan([n for _, n in jobs], rows)
         ]
-        assert montecarlo._CHUNK == 4096
-        assert sorted(run_chunks) == sorted(expected_tasks)
-        # each task in blocks of 963 trials (2N(K+1) = 272 normals each)
-        rows = montecarlo._block_rows(CFG.n, CFG.k, montecarlo._CHUNK)
-        assert rows == 963
-        expected_draws = [
-            [(task[p.sample][0], (p.start, p.stop)) for p in block]
-            for task in expected_tasks
-            for block in montecarlo._cut(
-                [(j, a, b) for j, (_, (a, b)) in enumerate(task)], rows
-            )
-        ]
-        assert len(expected_draws) == 4 * 5 + 4  # four full tasks, one of 3116 trials
-        assert sorted(draws) == sorted(expected_draws)
+        assert len(expected) == 33  # 32 full blocks and one of 108 trials
+        s0, s1 = jobs[0][0], jobs[1][0]
+        assert expected[7] == [(s0, (4242, 4500)), (s1, (0, 348))]
+        assert sorted(run_chunks) == sorted(expected)
+        assert sorted(draws) == sorted(expected)
 
     def test_one_psi_and_one_detector_call_per_chunk(self, monkeypatch):
         # the traced benchmark times psi as montecarlo._psi_batch and each
@@ -321,43 +310,46 @@ class TestTraceEntryPoints:
         names = list(detectors.STATISTIC_NAMES)
         cfar_sweep(names, CFG, [0.5, 1.0], [0.0, 0.9], 0.05, 5_000, 7,
                    calibration_trials=4_500, workers=2)
-        assert len(calls) == 5  # calibration and three cells: 19 500 trials
-        # four 4096-trial tasks of five 963-trial blocks, and one of 3116 in four
-        assert sorted(c.count("psi") for c in calls) == [4, 5, 5, 5, 5]
+        # calibration and three cells: 19 500 trials in 33 blocks of 606 rows
+        assert len(calls) == 33
         for c in calls:
-            assert Counter(c) == Counter({name: c.count("psi") for name in ["psi", *names]})
+            assert Counter(c) == Counter(["psi", *names])
 
 
-def _per_sample_plan(sizes):
-    """Each sample cut into ``_CHUNK``-trial tasks of its own, as if run alone."""
-    chunk = montecarlo._CHUNK
+def _per_sample_plan(sizes, rows):
+    """Each sample cut into blocks of ``rows`` trials of its own, as if run alone."""
     return [
-        (montecarlo._Piece(j, a, min(a + chunk, size), 0),)
+        (montecarlo._Piece(j, a, min(a + rows, size), 0),)
         for j, size in enumerate(sizes)
-        for a in range(0, size, chunk)
+        for a in range(0, size, rows)
     ]
 
 
 class TestTaskPlan:
-    """Tasks of ``_CHUNK`` rows may span samples; no output may notice."""
+    """Blocks of ``_block_rows`` rows, one pool task each, may span samples.
+
+    No output may notice.
+    """
+
+    ROWS = 606  # at N = 8, K = 16
 
     @staticmethod
     def _flatten(tasks):
         return [(p.sample, p.start, p.stop) for task in tasks for p in task]
 
     @pytest.mark.parametrize(
-        "sizes", [[1], [3, 7], [4095, 1, 4097], [5000] * 3 + [4500], [1] * 9, [8192, 3]]
+        "sizes", [[1], [3, 7], [605, 1, 607], [5000] * 3 + [4500], [1] * 9, [1212, 3]]
     )
     def test_tasks_cover_every_trial_once_in_order(self, sizes):
-        chunk = montecarlo._CHUNK
-        tasks = montecarlo._plan(sizes)
-        assert tasks == montecarlo._plan(list(sizes))
-        assert len(tasks) == -(-sum(sizes) // chunk)
+        rows = self.ROWS
+        tasks = montecarlo._plan(sizes, rows)
+        assert tasks == montecarlo._plan(list(sizes), rows)
+        assert len(tasks) == -(-sum(sizes) // rows)
         for task in tasks:
             assert [p.row for p in task] == [sum(q.stop - q.start for q in task[:i])
                                              for i in range(len(task))]
             assert all(p.stop > p.start for p in task)
-        assert all(task[-1].rows.stop == chunk for task in tasks[:-1])
+        assert all(task[-1].rows.stop == rows for task in tasks[:-1])
         # the pieces of a sample are consecutive and cover it from 0 to its size
         merged = {}
         for sample, start, stop in self._flatten(tasks):
@@ -365,16 +357,21 @@ class TestTaskPlan:
             merged[sample] = stop
         assert merged == dict(enumerate(sizes))
 
-    @pytest.mark.parametrize("sizes", [[4096], [8192] * 9, [8192, 8192], [4096, 12288, 4096]])
+    @pytest.mark.parametrize("sizes", [[1], [2] * 9, [2, 2], [1, 3, 1]])
     def test_multiples_of_chunk_are_cut_as_alone(self, sizes):
-        assert montecarlo._plan(sizes) == _per_sample_plan(sizes)
+        # samples whose sizes, given here in blocks, are multiples of the rows
+        sizes = [self.ROWS * b for b in sizes]
+        assert montecarlo._plan(sizes, self.ROWS) == _per_sample_plan(sizes, self.ROWS)
 
     def test_full_cfar_call_plan(self):
         # perfbench's cfar-n8 call: calibration and 8 cells of 8192 trials
-        tasks = montecarlo._plan([8192] * 9)
-        assert len(tasks) == 18 and all(len(task) == 1 for task in tasks)
-        # its smallest call: nine one-trial samples in one task
-        assert [len(task) for task in montecarlo._plan([1] * 9)] == [9]
+        rows = montecarlo._block_rows(8, 16, 9 * 8192)
+        tasks = montecarlo._plan([8192] * 9, rows)
+        assert rows == self.ROWS and len(tasks) == 122
+        assert tasks[-1][-1].rows.stop == 9 * 8192 - 121 * rows
+        # its smallest call: nine one-trial samples in one block
+        smallest = montecarlo._plan([1] * 9, montecarlo._block_rows(8, 16, 9))
+        assert [len(task) for task in smallest] == [9]
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_plan_does_not_depend_on_workers(self, monkeypatch, workers):
@@ -388,10 +385,10 @@ class TestTaskPlan:
         monkeypatch.setattr(montecarlo, "_run_chunk", run_chunk)
         cfar_sweep("glr", CFG, [0.5, 1.0], [0.0], 0.05, 3000, 1,
                    calibration_trials=2000, workers=workers)
-        assert sorted(seen) == montecarlo._plan([2000, 3000])
+        assert sorted(seen) == montecarlo._plan([2000, 3000], self.ROWS)
 
     def test_task_rows_reach_outputs_as_one_slice(self, monkeypatch):
-        # every task writes straight into consecutive rows of the call's
+        # every block writes straight into consecutive rows of the call's
         # outputs, which lay the samples out in job order
         tasks = []
         real_run_chunk = montecarlo._run_chunk
@@ -405,17 +402,18 @@ class TestTaskPlan:
         jobs = [montecarlo._Job(CFG, names, n, 30 + j, True) for j, n in enumerate(sizes)]
         values, lam, offsets = montecarlo._collect(jobs, workers=2)
         assert offsets.tolist() == [0, 4095, 4098, 8195]
-        assert sorted(len(p) for p, _ in tasks) == [1, 2, 2]
+        plan = montecarlo._plan(sizes, self.ROWS)
+        assert sorted(p for p, _ in tasks) == plan and max(map(len, plan)) == 3
         for pieces, (task_values, task_lam) in tasks:
             first = offsets[pieces[0].sample] + pieces[0].start
-            assert first % montecarlo._CHUNK == 0
+            assert first % self.ROWS == 0
             assert task_lam.base is lam and len(task_lam) == pieces[-1].rows.stop
             assert (task_lam.ctypes.data - lam.ctypes.data) // lam.strides[0] == first
             for name in names:
                 view = task_values[name]
                 assert view.base is values[name] and len(view) == len(task_lam)
                 assert (view.ctypes.data - values[name].ctypes.data) // 8 == first
-        # sample 0 is one 4095-row piece here and alone
+        # sample 0 ends inside a block that holds all of sample 1
         alone = statistic_samples(CFG, names, sizes[0], 30)
         for name in names:
             assert values[name][: offsets[1]].tobytes() == alone[name].tobytes()
@@ -440,7 +438,7 @@ class TestTaskPlan:
     @pytest.mark.parametrize("size", SIZES)
     def test_bit_identical_to_per_sample_reference(self, monkeypatch, size):
         with monkeypatch.context() as m:
-            m.setattr(montecarlo, "_plan", _per_sample_plan)
+            m.setattr(montecarlo, "_plan", _per_sample_plan)  # same rows
             reference = self._calls(size, 1)
         for workers in (1, 2, 3):
             got = self._calls(size, workers)
@@ -450,7 +448,7 @@ class TestTaskPlan:
             assert got[2:] == reference[2:]
 
     def test_error_names_trial_within_its_own_sample(self, monkeypatch):
-        # one task holds the calibration sample and the (0.5, 0.0) cell;
+        # one block holds the calibration sample and the (0.5, 0.0) cell;
         # trial 1 of the cell, row 4 of the stack, has a singular S22
         real_draw = montecarlo._draw_batch
 
@@ -460,7 +458,7 @@ class TestTaskPlan:
             return zp, s
 
         monkeypatch.setattr(montecarlo, "_draw_batch", draw)
-        assert [len(t) for t in montecarlo._plan([3, 3])] == [2]
+        assert [len(t) for t in montecarlo._plan([3, 3], 6)] == [2]
         with pytest.raises(DegenerateStatisticError, match=r"^trial 1: scatter block S22"):
             cfar_sweep("glr", CFG, [0.5, 1.0], [0.0], 0.05, 3, 9)
 
@@ -469,11 +467,14 @@ class TestGrouping:
     """A trial's ``(zp, s)`` and values do not depend on how trials are grouped.
 
     One call lines up samples that share the target seed so that the same
-    trials sit in pieces of 4095, 2, 18, 19 and 63 rows, across the block
-    boundaries of the first sample (trials 962 | 963 at N = 8, 62 | 63 and
-    251 | 252 at N = 32) and, in the last sample, across a block boundary
-    inside a block of two pieces (N = 32) and across a task boundary. Each
-    is compared with the trial drawn alone.
+    trials sit in pieces of 4095, 2, 18, 19, 63 and 300 rows, across the
+    block edges of the first sample (trials 4063 | 4064 at N = 3, 605 | 606
+    at N = 8, 38 | 39 at N = 32) and, at N = 32, inside the 19- and 63-trial
+    samples (17 | 18, 37 | 38) and in the last sample (19 | 20 in a block of
+    two pieces, then 97 | 98); at N = 3 and N = 8 the short samples share
+    one block. Indices 62 | 63, 99 | 100, 251 | 252 and 962 | 963 add the
+    edges of other block sizes. Each trial is compared with the trial drawn
+    alone.
     """
 
     CASES = (
@@ -487,7 +488,8 @@ class TestGrouping:
     # sizes of the target samples, and the fillers that place them
     SIZES = [4095, 1, 2, 18, 19, 63, 3894, 300]
     TARGETS = (0, 2, 3, 4, 5, 7)
-    INDICES = (0, 1, 17, 18, 35, 36, 62, 99, 100, 251, 252, 299, 962, 963, 4094)
+    INDICES = (0, 1, 17, 18, 19, 20, 35, 36, 37, 38, 39, 62, 97, 98, 99, 100, 251, 252,
+               299, 605, 606, 962, 963, 4063, 4064, 4094)
 
     def _alone(self, cfg, index):
         job = montecarlo._Job(cfg, self.NAMES, index + 1, self.SEED)
@@ -499,17 +501,27 @@ class TestGrouping:
         return zp[0], s[0], {name: out[0][name][0] for name in self.NAMES}
 
     def test_layout_plan(self):
-        # the last sample straddles a task boundary after its trial 99; at
-        # N = 32 (blocks of 63 rows) a block holds filler and its trials 0..35
-        tasks = montecarlo._plan(self.SIZES)
-        assert [[(p.sample, p.start, p.stop) for p in t] for t in tasks] == [
-            [(0, 0, 4095), (1, 0, 1)],
-            [(2, 0, 2), (3, 0, 18), (4, 0, 19), (5, 0, 63), (6, 0, 3894), (7, 0, 100)],
-            [(7, 100, 300)],
-        ]
-        blocks = montecarlo._cut([(p.sample, p.start, p.stop) for p in tasks[1]], 63)
-        assert [(p.sample, p.start, p.stop) for p in blocks[63]] == [(6, 3867, 3894), (7, 0, 36)]
-        assert montecarlo._block_rows(32, 64, 8392) == 63
+        def blocks(n, k, *indices):
+            rows = montecarlo._block_rows(n, k, sum(self.SIZES))
+            plan = montecarlo._plan(self.SIZES, rows)
+            return rows, [[(p.sample, p.start, p.stop) for p in plan[i]] for i in indices]
+
+        assert blocks(3, 6, 1)[0] == 4064
+        # N = 8: one block holds the first sample's tail, every short sample
+        # and the head of the filler
+        assert blocks(8, 16, 6) == (606, [
+            [(0, 3636, 4095), (1, 0, 1), (2, 0, 2), (3, 0, 18), (4, 0, 19), (5, 0, 63),
+             (6, 0, 44)],
+        ])
+        # N = 32: the first sample is 105 whole blocks; edges fall inside the
+        # short samples and the last one
+        assert blocks(32, 64, 105, 106, 107, 207, 209) == (39, [
+            [(1, 0, 1), (2, 0, 2), (3, 0, 18), (4, 0, 18)],
+            [(4, 18, 19), (5, 0, 38)],
+            [(5, 38, 63), (6, 0, 14)],
+            [(6, 3875, 3894), (7, 0, 20)],
+            [(7, 59, 98)],
+        ])
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("cfg", CASES, ids=lambda c: f"n{c.n}")
@@ -542,20 +554,17 @@ class TestGrouping:
                 for name in self.NAMES:
                     assert values[name][offsets[j] + i].tobytes() == ref[name].tobytes()
                 checked += 1
-        assert checked == 15 + 2 + 3 + 4 + 7 + 12  # every index inside each target
+        assert checked == 26 + 2 + 3 + 4 + 12 + 19  # every index inside each target
 
 
 def test_task_memory_does_not_grow_with_its_rows():
-    # one task holds its block buffers, never a task-wide array, and a full
-    # task stays within 8 MB at N = 8 and at N = 32
-    def peak(cfg, rows):
-        job = montecarlo._Job(cfg, ["glr"], rows, 3)
-        out = ({"glr": np.empty(rows)}, None)
-        scratch = montecarlo._Scratch(montecarlo._block_rows(cfg.n, cfg.k, rows), cfg.n, cfg.k)
-        maps = montecarlo._chunk_maps(cfg)
+    # a call holds one block's buffers, never an array over its trials
+    # beyond its outputs: its peak stays within 8 MB at N = 8 and at N = 32,
+    # and does not grow with the call's trials
+    def peak(cfg, trials):
         tracemalloc.start()
         try:
-            montecarlo._run_chunk([job], [maps], montecarlo._plan([rows])[0], out, scratch)
+            statistic_samples(cfg, "glr", trials, 3)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -571,7 +580,7 @@ class TestSharedPool:
     """One pool per public call keeps results independent of worker count."""
 
     GRID = ([0.5, 1.0], [0.0, 0.9])
-    TRIALS = montecarlo._CHUNK + 904  # two chunks per sample
+    TRIALS = 5000  # several blocks per sample
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_cfar_sweep(self, workers):
@@ -619,16 +628,17 @@ class TestSharedPool:
                 assert np.array_equal(out[name], ref[name])
 
     def test_block_rows_follow_one_rule(self):
-        # _DRAW_BLOCK normals of 2N(K+1) each, for every trial size, capped
-        # by a task and by the call's trials, and never below one trial
-        for n, k, rows in ((3, 6, 4096), (8, 16, 963), (32, 64, 63), (256, 512, 1)):
-            width = 2 * n * (k + 1)
-            assert rows == min(montecarlo._CHUNK, max(1, montecarlo._DRAW_BLOCK // width))
+        # _BLOCK_BYTES over a trial's buffers (2N(K+1) normals, 4KN GEMM
+        # outputs, 2N for Zp and N^2 for S), for every trial size, capped by
+        # the call's trials, and never below one trial
+        for n, k, rows in ((3, 6, 4064), (8, 16, 606), (32, 64, 39), (256, 512, 1)):
+            doubles = 2 * n * (k + 1) + 4 * k * n + 2 * n + n * n
+            assert rows == max(1, montecarlo._BLOCK_BYTES // (8 * doubles))
             assert montecarlo._block_rows(n, k, 10**6) == rows
             assert montecarlo._block_rows(n, k, rows + 1) == rows
             assert montecarlo._block_rows(n, k, 1) == 1
         assert montecarlo._block_rows(8, 16, 500) == 500
-        assert montecarlo._DRAW_BLOCK == 1 << 18  # 2 MB of normals
+        assert montecarlo._BLOCK_BYTES == 1 << 22  # 4 MB of buffers
 
 
 class TestValidation:
@@ -763,6 +773,19 @@ class TestCfarSweep:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             cfar_sweep("glr", CFG, [], [0.0], 0.05, 100, seed=0)
+
+    def test_cfar_at_extreme_secondary_power(self):
+        # psi scales like 1 / gamma: products of raw psi entries over- or
+        # underflow here, so GLR, Rao and Wald must see unit-trace forms
+        names = ["glr", "2s-glr", "rao", "wald"]
+        base = ScenarioConfig(n=8, k=16)
+        points = []
+        for gamma in (1e-300, 1e300):
+            result = cfar_sweep(names, base, [gamma], [0.0], 0.05, 2000, seed=0)
+            assert result.all_passed, result.cells
+            points.append([c.estimate.point for c in result.cells])
+        # the cell draws the same normals at either power
+        assert points[0] == points[1]
 
     @pytest.mark.parametrize("gammas, rhos, own_samples", [
         ([0.5, 1.0], [0.0, 0.9], 3),  # the reference cell reuses the calibration

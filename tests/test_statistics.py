@@ -205,9 +205,26 @@ class TestScaleEstimates:
         limit = n / ((k + 1 - n) * tr)
         assert est.gamma0_hat == pytest.approx(limit, rel=1e-9)
 
+    @pytest.mark.parametrize("phi", [1e-300, 1e-200, 1e200, 1e300])
+    def test_equivariant_at_every_scale(self, stat_factory, phi):
+        # gamma_hat(phi S) = phi gamma_hat(S) and beta(phi S) = beta(S) / phi,
+        # at scales where the squared trace and the determinant of the raw
+        # forms over- or underflow
+        from persymdet import act_scale
+
+        stat = stat_factory(0)
+        ref = scale_estimates(compute_psi(stat), stat.k, stat.n)
+        with np.errstate(over="ignore"):  # the norm of S in SufficientStatistic
+            got = scale_estimates(compute_psi(act_scale(phi, stat)), stat.k, stat.n)
+        assert got.gamma0_hat == pytest.approx(phi * ref.gamma0_hat, rel=1e-12)
+        assert got.gamma1_hat == pytest.approx(phi * ref.gamma1_hat, rel=1e-12)
+        assert got.beta0 == pytest.approx(ref.beta0 / phi, rel=1e-12)
+        assert got.beta1 == pytest.approx(ref.beta1 / phi, rel=1e-12)
+
     def test_zero_trace_rejected(self):
-        with pytest.raises(DegenerateStatisticError):
-            scale_estimates(PsiPair(psi0=np.zeros((2, 2)), psi1=np.eye(2)), 8, 4)
+        for psi0 in (np.zeros((2, 2)), -np.eye(2)):
+            with pytest.raises(DegenerateStatisticError, match="Tr\\[psi\\] must be positive"):
+                scale_estimates(PsiPair(psi0=psi0, psi1=np.eye(2)), 8, 4)
 
     def test_insufficient_support_rejected(self):
         with pytest.raises(ValueError):

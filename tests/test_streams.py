@@ -59,7 +59,7 @@ class TestDrawBatch:
     def test_matches_public_canonical_path(self, cfg):
         seed, start = 99, 4_000_000_123
         # drawn in blocks: span several and end in a ragged one
-        block = montecarlo._block_rows(cfg.n, cfg.k, montecarlo._CHUNK)
+        block = montecarlo._block_rows(cfg.n, cfg.k, 10**6)
         count = 2 * block + block // 2
         zp, s = draw_task(cfg, start, count, seed)
         assert zp.shape == (count, cfg.n, 2) and s.shape == (count, cfg.n, cfg.n)
