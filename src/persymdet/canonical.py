@@ -30,14 +30,23 @@ def exchange_matrix(n: int) -> np.ndarray:
     return np.fliplr(np.eye(n))
 
 
+def _mirror_gap(m: np.ndarray, mirror) -> float:
+    """``norm(m - mirror(m)) / norm(m)`` for a linear ``mirror``, taken on ``m / max|m|``
+    so that no norm over- or underflows; 0 for the zero matrix, NaN if not finite."""
+    peak = np.abs(m).max(initial=0.0)
+    if peak == 0.0:
+        return 0.0
+    m = m / peak
+    return float(np.linalg.norm(m - mirror(m)) / np.linalg.norm(m))
+
+
 def is_persymmetric(m, tol: float = 1e-10) -> bool:
     """Whether ``m`` satisfies ``m = J m* J`` within relative Frobenius ``tol``."""
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {m.shape}")
     j = exchange_matrix(m.shape[0])
-    residual = np.linalg.norm(m - j @ m.conj() @ j)
-    return residual <= tol * np.linalg.norm(m)
+    return _mirror_gap(m, lambda x: j @ x.conj() @ j) <= tol
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -78,8 +87,7 @@ class PersymmetricCovariance:
         m = np.array(self.entries, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionError(f"covariance must be square, got {m.shape}")
-        scale = np.linalg.norm(m)
-        if np.linalg.norm(m - m.conj().T) > 1e-12 * max(scale, 1e-300):
+        if _mirror_gap(m, lambda x: x.conj().T) > 1e-12:
             raise ModelError("covariance is not Hermitian")
         m = 0.5 * (m + m.conj().T)
         if np.linalg.eigvalsh(m)[0] <= 0.0:

@@ -21,14 +21,13 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import __version__
+from . import __version__, group
 from .canonical import build_transform, canonicalize
-from .detectors import _INTERLACING_SLACK, NEGATIVE_CONTROL, DetectorKind, _scalar, mis_form
+from .detectors import _INTERLACING_SLACK, NEGATIVE_CONTROL, DetectorKind
 from .errors import PersymError
-from .group import factorization_deviation, invariance_report, sample_group_element
 from .montecarlo import _as_names, cfar_sweep, mis_samples, roc_curve
 from .scenario import ScenarioConfig, _check_count, sample_dataset, steering
-from .statistics import assemble, compute_psi, mis
+from .statistics import assemble
 from .streams import derive_seed, derive_stream
 
 log = logging.getLogger(__name__)
@@ -225,8 +224,8 @@ def _write_manifest(out_path, command, config, seed, workers, outputs, started, 
 def _run_invariance_suites(cfg: ScenarioConfig, seed: int, n_stats: int, debug: bool):
     """Run the five verification suites; returns [(name, deviation, tol)].
 
-    Elements are drawn suite by suite, then statistic by statistic; the
-    factorization suite draws last.
+    Statistic by statistic, each sampled element acts once and moves the MIS
+    and every detector together; the factorization suite draws last.
     """
     xf = build_transform(steering(cfg.n, cfg.nu))
     stats = []
@@ -235,48 +234,24 @@ def _run_invariance_suites(cfg: ScenarioConfig, seed: int, n_stats: int, debug: 
         stats.append(assemble(canonicalize(ds.r, ds.rk, xf)))
     rng = derive_stream(seed, 0)
 
-    suites = {"mis-invariance": (lambda s: mis(compute_psi(s)).as_array(), _MIS_INVARIANCE_TOL)}
-    checks = dict(_DETECTOR_TOLERANCES)
-    if debug:
-        checks[NEGATIVE_CONTROL] = 1e-8
-    for name, tol in checks.items():
-        fn = lambda s, _name=name: _scalar(_name, compute_psi(s), s.k, s.n)
-        suites[f"detector-invariance[{name}]"] = (fn, tol)
-    results = []
-    for suite, (fn, tol) in suites.items():
-        dev = max(
-            invariance_report(
-                s, fn, _ELEMENTS_PER_STATISTIC, rng, max_condition=_SUITE_MAX_CONDITION
-            )
-            for s in stats
+    checks = {**_DETECTOR_TOLERANCES, **({NEGATIVE_CONTROL: 1e-8} if debug else {})}
+    suites = [("mis-invariance", _MIS_INVARIANCE_TOL)]
+    suites += [(f"detector-invariance[{name}]", tol) for name, tol in checks.items()]
+    suites += [(f"form-identity[{name}]", tol) for name, tol in _IDENTITY_TOLERANCES.items()]
+    suites += [("subaction-factorization", _FACTORIZATION_TOL)]
+    suites += [("interlacing", _INTERLACING_SLACK)]
+    devs = list(group._invariance_deviations(
+        stats, list(checks), _ELEMENTS_PER_STATISTIC, rng, _SUITE_MAX_CONDITION
+    ))
+    *gaps, breach = group._identity_deviations(stats, list(_IDENTITY_TOLERANCES))
+    factorization = [
+        group.factorization_deviation(
+            group.sample_group_element(stat.n, rng, max_condition=_SUITE_MAX_CONDITION), stat
         )
-        results.append((suite, dev, tol))
-
-    worst = {name: 0.0 for name in _IDENTITY_TOLERANCES}
-    interlacing = 0.0
-    for stat in stats:
-        psis = compute_psi(stat)
-        t = mis(psis)
-        for name in worst:
-            direct = _scalar(name, psis, stat.k, stat.n)
-            via_t = mis_form(name, t, stat.k, stat.n)
-            worst[name] = max(worst[name], abs(via_t - direct) / max(abs(direct), 1e-300))
-        violation = max(t.t3 - t.t1, t.t2 - t.t3, 1.0 - t.t2, 0.0)
-        diff = psis.psi0 - psis.psi1
-        mu = np.linalg.eigvalsh(diff)
-        scale = max(1.0, abs(mu[1]))
-        violation = max(violation, abs(mu[0]) / scale)
-        interlacing = max(interlacing, violation)
-    for name, tol in _IDENTITY_TOLERANCES.items():
-        results.append((f"form-identity[{name}]", worst[name], tol))
-
-    dev = 0.0
-    for stat in stats:
-        elem = sample_group_element(stat.n, rng, max_condition=_SUITE_MAX_CONDITION)
-        dev = max(dev, factorization_deviation(elem, stat))
-    results.append(("subaction-factorization", dev, _FACTORIZATION_TOL))
-    results.append(("interlacing", interlacing, _INTERLACING_SLACK))
-    return results
+        for stat in stats
+    ]
+    devs += [*gaps, np.max(factorization), breach]
+    return [(name, dev, tol) for (name, tol), dev in zip(suites, devs)]
 
 
 def cmd_invariance_check(config_path, out_path, seed, workers) -> int:
@@ -292,25 +267,16 @@ def cmd_invariance_check(config_path, out_path, seed, workers) -> int:
     debug = raw.get("debug_noninvariant", False)
     if not isinstance(debug, bool):
         raise _ConfigError(f"debug_noninvariant must be true or false, not {debug!r}")
-    results = _run_invariance_suites(cfg, seed, n_stats, debug)
-    all_pass = True
-    for name, dev, tol in results:
-        ok = dev <= tol
-        all_pass &= ok
+    rows = [
+        (name, float(dev), float(tol), bool(dev <= tol))  # a NaN deviation fails
+        for name, dev, tol in _run_invariance_suites(cfg, seed, n_stats, debug)
+    ]
+    for name, dev, tol, ok in rows:
         print(f"{name:<34} max_dev={dev:.3e}  tol={tol:.0e}  {'PASS' if ok else 'FAIL'}")
+    all_pass = all(ok for *_, ok in rows)
     if out_path:
-        summary = {
-            "suites": [
-                {
-                    "suite": name,
-                    "max_deviation": float(dev),
-                    "tolerance": float(tol),
-                    "passed": bool(dev <= tol),
-                }
-                for name, dev, tol in results
-            ],
-            "all_passed": bool(all_pass),
-        }
+        keys = ("suite", "max_deviation", "tolerance", "passed")
+        summary = {"suites": [dict(zip(keys, row)) for row in rows], "all_passed": all_pass}
         with open(out_path, "w", encoding="utf-8") as fh:
             json.dump(summary, fh, indent=2)
             fh.write("\n")

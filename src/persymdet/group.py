@@ -17,12 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .canonical import _freeze
+from .detectors import _scalar, mis_form
 from .errors import DimensionError
 from .scenario import _check_count
 from .statistics import SufficientStatistic, compute_psi, mis
 
 _SAMPLING_ATTEMPTS = 100
-_DEVIATION_FLOOR = 1e-12  # least denominator of an invariance_report deviation
+_DEVIATION_FLOOR = 1e-12  # least denominator of an invariance deviation
 # discrimination_check: white (N, K) draws, distinct when t differs by more than TOL
 _DISCRIMINATION_N, _DISCRIMINATION_K, _DISCRIMINATION_TOL = 8, 16, 1e-6
 
@@ -80,23 +81,17 @@ def _cond(a: np.ndarray) -> float:
 
 
 def sample_group_element(
-    n: int,
-    rng: np.random.Generator,
-    spread: float = 1.0,
-    max_condition: float = 1e8,
+    n: int, rng: np.random.Generator, max_condition: float = 1e8
 ) -> GroupElement:
     """Random group element with conditioning control.
 
-    Gaussian entries scaled by ``spread``; candidates are resampled until
-    both ``G`` and its bottom-right block have condition number at most
-    ``max_condition`` (near-singular elements would inflate invariance
-    deviations for purely numerical reasons). ``U`` is a uniform rotation
-    composed with a reflection with probability 1/2, and ``phi`` is
-    log-uniform on ``[1e-2 spread, 1e2 spread]``.
+    Standard Gaussian entries; candidates are resampled until both ``G`` and
+    its bottom-right block have condition number at most ``max_condition``
+    (near-singular elements would inflate invariance deviations for purely
+    numerical reasons). ``U`` is a uniform rotation composed with a
+    reflection with probability 1/2, and ``phi`` is log-uniform on
+    ``[1e-2, 1e2]``.
     """
-    if not 0.0 < spread < np.inf:
-        # the candidates' entries, and so their SVDs, must stay finite
-        raise ValueError(f"spread must be positive and finite, not {spread!r}")
     if n < 2:
         raise DimensionError("group elements require n >= 2")
     if not 1.0 <= max_condition < np.inf:
@@ -104,9 +99,9 @@ def sample_group_element(
         raise ValueError(f"max_condition must be finite and at least 1, not {max_condition!r}")
     for _ in range(_SAMPLING_ATTEMPTS):
         g = np.zeros((n, n))
-        g[0, 0] = spread * rng.standard_normal()
-        g[0, 1:] = spread * rng.standard_normal(n - 1)
-        g[1:, 1:] = spread * rng.standard_normal((n - 1, n - 1))
+        g[0, 0] = rng.standard_normal()
+        g[0, 1:] = rng.standard_normal(n - 1)
+        g[1:, 1:] = rng.standard_normal((n - 1, n - 1))
         if g[0, 0] == 0.0:
             continue
         if _cond(g) > max_condition or _cond(g[1:, 1:]) > max_condition:
@@ -121,7 +116,7 @@ def sample_group_element(
     u = np.array([[c, -s], [s, c]])
     if rng.random() < 0.5:
         u = u @ np.diag([1.0, -1.0])
-    phi = float(np.exp(rng.uniform(np.log(1e-2 * spread), np.log(1e2 * spread))))
+    phi = float(np.exp(rng.uniform(np.log(1e-2), np.log(1e2))))
     # the zeros below g11, g11 != 0 and an invertible G22 (cond <= cap) hold
     # from the loop; U is a rotation or a reflection and phi = exp(.) > 0
     return _built(g, u, phi)
@@ -177,6 +172,20 @@ def factorization_deviation(elem: GroupElement, stat: SufficientStatistic) -> fl
     return float(max(dz, ds))
 
 
+def _deviations(stat, statistic_fn, n_elements, rng, max_condition) -> np.ndarray:
+    """Worst ``|f(act(elem, stat)) - f(stat)| / max(|f(stat)|, 1e-12)`` of each
+    component of ``f`` over ``n_elements`` sampled elements; NaN stays NaN."""
+    n_elements = _check_count(n_elements, "n_elements")
+    base = np.asarray(statistic_fn(stat), dtype=float)
+    denom = np.maximum(np.abs(base), _DEVIATION_FLOOR)
+    worst = np.zeros(base.shape)
+    for _ in range(n_elements):
+        elem = sample_group_element(stat.n, rng, max_condition=max_condition)
+        moved = np.asarray(statistic_fn(act(elem, stat)), dtype=float)
+        worst = np.maximum(worst, np.abs(moved - base) / denom)
+    return worst
+
+
 def invariance_report(
     stat: SufficientStatistic,
     statistic_fn,
@@ -186,18 +195,40 @@ def invariance_report(
 ) -> float:
     """Empirical invariance of ``statistic_fn`` under sampled group actions.
 
-    Returns the maximum over ``n_elements`` sampled elements (unit spread) of
-    the relative deviation ``|f(act(elem, stat)) - f(stat)| / max(|f(stat)|, 1e-12)``,
-    taken componentwise when ``f`` returns a vector.
+    Returns the maximum over ``n_elements`` sampled elements and over the
+    components of ``f`` of ``|f(act(elem, stat)) - f(stat)| / max(|f(stat)|, 1e-12)``;
+    NaN when ``f`` is NaN before or after an action, so that it fails any tolerance.
     """
-    n_elements = _check_count(n_elements, "n_elements")
-    base = np.asarray(statistic_fn(stat), dtype=float)
-    denom = np.maximum(np.abs(base), _DEVIATION_FLOOR)
-    worst = 0.0
-    for _ in range(n_elements):
-        elem = sample_group_element(stat.n, rng, max_condition=max_condition)
-        moved = np.asarray(statistic_fn(act(elem, stat)), dtype=float)
-        worst = max(worst, float(np.max(np.abs(moved - base) / denom)))
+    return float(np.max(_deviations(stat, statistic_fn, n_elements, rng, max_condition)))
+
+
+def _invariance_deviations(stats, names, n_elements, rng, max_condition) -> np.ndarray:
+    """Worst deviation of the MIS, then of each named statistic, over ``stats``:
+    each sampled element acts once and moves all of them."""
+
+    def invariants(s):
+        psis = compute_psi(s)
+        return [*mis(psis).as_array(), *(_scalar(name, psis, s.k, s.n) for name in names)]
+
+    worst = np.zeros(3 + len(names))
+    for stat in stats:
+        worst = np.maximum(worst, _deviations(stat, invariants, n_elements, rng, max_condition))
+    return np.concatenate([[np.max(worst[:3])], worst[3:]])
+
+
+def _identity_deviations(stats, names) -> np.ndarray:
+    """Worst MIS-form/direct gap of each named detector over ``stats``, then the
+    worst breach of ``t1 >= t3 >= t2 >= 1`` and of ``psi0 - psi1`` rank-one PSD."""
+    worst = np.zeros(len(names) + 1)
+    for stat in stats:
+        psis = compute_psi(stat)
+        t = mis(psis)
+        direct = np.array([_scalar(name, psis, stat.k, stat.n) for name in names])
+        via_t = np.array([mis_form(name, t, stat.k, stat.n) for name in names])
+        mu = np.linalg.eigvalsh(psis.psi0 - psis.psi1)
+        breach = np.max([t.t3 - t.t1, t.t2 - t.t3, 1.0 - t.t2, abs(mu[0]) / max(1.0, abs(mu[1]))])
+        gaps = np.abs(via_t - direct) / np.maximum(np.abs(direct), 1e-300)
+        worst = np.maximum(worst, np.append(gaps, breach))
     return worst
 
 

@@ -361,9 +361,8 @@ def _mis_from_lam(lam: np.ndarray) -> np.ndarray:
     bad = _degenerate_lambda4(*lam.T)
     if _any(bad):
         idx = int(np.argmax(bad))
-        raise DegenerateStatisticError(
-            f"trial {idx}: degenerate eigenvalue quadruple {tuple(lam[idx])}"
-        )
+        quad = ", ".join(f"{x:.6g}" for x in lam[idx])
+        raise DegenerateStatisticError(f"trial {idx}: degenerate eigenvalue quadruple ({quad})")
     return lam[:, :3] / lam[:, 3:4]
 
 

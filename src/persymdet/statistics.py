@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .canonical import CanonicalizedData, _freeze
+from .canonical import CanonicalizedData, _freeze, _mirror_gap
 from .errors import (
     ConditioningError,
     DegenerateStatisticError,
@@ -72,8 +72,7 @@ class SufficientStatistic:
         if self.k < 1:
             raise ValueError("secondary count K must be >= 1")
         check_support(n, self.k)
-        scale = np.linalg.norm(s)
-        if np.linalg.norm(s - s.T) > 1e-12 * max(scale, 1e-300):
+        if _mirror_gap(s, np.transpose) > 1e-12:
             raise ValueError("S is not symmetric")
         if not (np.isfinite(zp).all() and np.isfinite(s).all()):
             raise ValueError("statistic contains non-finite entries")

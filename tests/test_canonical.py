@@ -5,6 +5,7 @@ from persymdet import (
     DimensionError,
     ModelError,
     NormalizationError,
+    PersymmetricCovariance,
     SteeringVector,
     build_transform,
     canonicalize,
@@ -58,6 +59,17 @@ class TestIsPersymmetric:
     def test_non_square_rejected(self):
         with pytest.raises(DimensionError):
             is_persymmetric(np.ones((2, 3)))
+
+    @pytest.mark.parametrize("scale", [1.0, 1e160])
+    def test_checks_are_scale_free(self, scale):
+        # the checks' norms once overflowed past 1e154 and passed any matrix
+        m = np.array(covariance_model(4, 0.5, 0.1, 0.0).entries)
+        for big in (1e300, 1e-300):
+            assert is_persymmetric(big * m) and PersymmetricCovariance(big * m).n == 4
+        assert not is_persymmetric(scale * (m + np.diag([0.1, 0.0, 0.0, 0.0])))
+        m[0, 1] += 0.3
+        with pytest.raises(ModelError, match="not Hermitian"):
+            PersymmetricCovariance(scale * m)
 
 
 class TestBuildTransform:

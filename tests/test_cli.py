@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from persymdet import detectors, group
 from persymdet.cli import main
 
 
@@ -38,6 +39,30 @@ class TestInvarianceCheck:
         cfg = _write(tmp_path / "c.json", {**BASE, "trials": 5, "debug_noninvariant": True})
         assert main(["invariance-check", "--config", cfg]) == 1
         assert "FAIL" in capsys.readouterr().out
+
+    def test_nan_detector_fails(self, tmp_path, capsys, monkeypatch):
+        # a NaN deviation is no invariance: it must fail, not drop out of a max
+        values = detectors._values
+        nan = lambda name, *a: float("nan") if name == "wald" else values(name, *a)
+        monkeypatch.setattr(detectors, "_values", nan)
+        cfg = _write(tmp_path / "c.json", {**BASE, "trials": 5})
+        assert main(["invariance-check", "--config", cfg]) == 1
+        wald = [line for line in capsys.readouterr().out.splitlines() if "[wald]" in line]
+        assert len(wald) == 2 and all(line.endswith("FAIL") for line in wald)
+
+    @pytest.mark.parametrize("debug", [False, True])
+    def test_one_draw_per_action_and_reruns_identical(self, tmp_path, monkeypatch, debug):
+        # 10 elements per statistic move every suite at once; 1 more for factorization
+        calls = []
+        sample = group.sample_group_element
+        counted = lambda *a, **kw: calls.append(1) or sample(*a, **kw)
+        monkeypatch.setattr(group, "sample_group_element", counted)
+        cfg = _write(tmp_path / "c.json", {**BASE, "trials": 4, "debug_noninvariant": debug})
+        for run in range(2):
+            out = str(tmp_path / f"{run}.json")
+            assert main(["invariance-check", "--config", cfg, "--out", out]) == int(debug)
+        assert len(calls) == 2 * 11 * 4
+        assert (tmp_path / "0.json").read_bytes() == (tmp_path / "1.json").read_bytes()
 
     def test_json_summary(self, tmp_path):
         cfg = _write(tmp_path / "c.json", {**BASE, "trials": 5})

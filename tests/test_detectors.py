@@ -19,7 +19,7 @@ from persymdet import (
     two_step_glr,
     wald,
 )
-from persymdet import detectors
+from persymdet import detectors, group
 from persymdet.statistics import _gamma_hat, _psi_batch
 
 from conftest import draw_task
@@ -43,12 +43,7 @@ class TestGlr:
         assert glr(PSIS, K, N) == pytest.approx(expected, rel=1e-12)
 
     def test_matches_mis_form(self, stat_factory):
-        for seed in range(50):
-            stat = stat_factory(seed)
-            psis = compute_psi(stat)
-            t = mis(psis)
-            direct = glr(psis, stat.k, stat.n)
-            assert mis_form("glr", t, stat.k, stat.n) == pytest.approx(direct, rel=1e-9)
+        assert group._identity_deviations(list(map(stat_factory, range(50))), ["glr"])[0] <= 1e-9
 
 
 class TestTwoStepGlr:
@@ -120,12 +115,7 @@ class TestWald:
         assert wald(PSIS, K, N) == pytest.approx(G1 * 1.0, rel=1e-12)
 
     def test_matches_mis_form(self, stat_factory):
-        for seed in range(50):
-            stat = stat_factory(seed)
-            psis = compute_psi(stat)
-            direct = wald(psis, stat.k, stat.n)
-            via_t = mis_form("wald", mis(psis), stat.k, stat.n)
-            assert via_t == pytest.approx(direct, rel=1e-10)
+        assert group._identity_deviations(list(map(stat_factory, range(50))), ["wald"])[0] <= 1e-10
 
     def test_nonnegative(self, stat_factory):
         for seed in range(30):
@@ -224,13 +214,9 @@ def test_branch_continuity_near_degenerate_determinant():
 
 
 def test_mis_form_identities(stat_factory):
-    for seed in range(30):
-        stat = stat_factory(seed)
-        psis = compute_psi(stat)
-        t = mis(psis)
-        for kind in DetectorKind:
-            direct = detectors._scalar(kind.value, psis, stat.k, stat.n)
-            assert mis_form(kind, t, stat.k, stat.n) == pytest.approx(direct, rel=1e-9), seed
+    # every detector's MIS form, and interlacing and rank-one structure of t
+    names = [kind.value for kind in DetectorKind]
+    assert np.all(group._identity_deviations(list(map(stat_factory, range(30))), names) <= 1e-9)
 
 
 # the public scalar value of each statistic (trace-psi0 as the CLI takes it)

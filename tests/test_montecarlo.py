@@ -111,8 +111,9 @@ class TestEngine:
         with pytest.raises(DegenerateStatisticError, match="degenerate"):
             mis(PsiPair(np.eye(2), np.eye(2), lam=quad))
         assert montecarlo._mis_from_lam(np.array([good, good]))[1, 0] == 4.0
-        with pytest.raises(DegenerateStatisticError, match="^trial 2: degenerate"):
+        with pytest.raises(DegenerateStatisticError, match="^trial 2: degenerate") as err:
             montecarlo._mis_from_lam(np.array([good, good, quad]))
+        assert "np.float64" not in str(err.value)
 
     def test_too_few_secondaries_is_typed(self):
         # 2K < N: the scatter is singular for every trial

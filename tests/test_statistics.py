@@ -18,6 +18,7 @@ from persymdet import (
     scale_estimates,
     steering,
 )
+from persymdet import group
 from persymdet.statistics import _eig2, _gamma_hat, _psi_batch
 from persymdet.streams import derive_stream
 
@@ -53,6 +54,17 @@ class TestAssemble:
     def test_too_few_secondaries_rejected(self):
         with pytest.raises(SingularSecondaryError):
             SufficientStatistic(zp=np.zeros((8, 2)), s=np.eye(8), k=3)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e160])
+    def test_symmetry_check_is_scale_free(self, scale):
+        # the check's norms once overflowed past 1e154 and passed any S
+        a = np.random.default_rng(5).standard_normal((4, 16))
+        s = a @ a.T
+        for big in (1e300, 1e-300):
+            assert np.array_equal(SufficientStatistic(np.ones((4, 2)), big * s, k=8).s, big * s)
+        s[0, 1] += 1.0
+        with pytest.raises(ValueError, match="S is not symmetric"):
+            SufficientStatistic(zp=np.ones((4, 2)), s=scale * s, k=8)
 
     def test_low_support_warns(self):
         with pytest.warns(UserWarning, match="K >= 2N"):
@@ -214,7 +226,7 @@ class TestScaleEstimates:
 
         stat = stat_factory(0)
         ref = scale_estimates(compute_psi(stat), stat.k, stat.n)
-        with np.errstate(over="ignore"):  # the norm of S in SufficientStatistic
+        with np.errstate(over="ignore"):  # the conditioning product in compute_psi
             got = scale_estimates(compute_psi(act_scale(phi, stat)), stat.k, stat.n)
         assert got.gamma0_hat == pytest.approx(phi * ref.gamma0_hat, rel=1e-12)
         assert got.gamma1_hat == pytest.approx(phi * ref.gamma1_hat, rel=1e-12)
@@ -265,8 +277,5 @@ class TestRankOneStructure:
             assert np.linalg.norm(diff - update) <= 1e-10 * max(np.linalg.norm(diff), 1.0)
 
     def test_interlacing(self, stat_factory):
-        for seed in range(60):
-            t = mis(compute_psi(stat_factory(seed)))
-            assert t.t1 >= t.t3 - 1e-10
-            assert t.t3 >= t.t2 - 1e-10
-            assert t.t2 >= 1.0 - 1e-10
+        # worst breach of t1 >= t3 >= t2 >= 1 and of psi0 - psi1 rank-one PSD
+        assert group._identity_deviations(list(map(stat_factory, range(60))), [])[0] <= 1e-10
