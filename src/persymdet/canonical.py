@@ -49,6 +49,11 @@ def is_persymmetric(m, tol: float = 1e-10) -> bool:
     return _mirror_gap(m, lambda x: j @ x.conj() @ j) <= tol
 
 
+def _hermitian_part(m: np.ndarray) -> np.ndarray:
+    """``(m + m^H) / 2``, halved before the sum so that no finite entry overflows."""
+    return 0.5 * m + 0.5 * m.conj().T
+
+
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
@@ -87,9 +92,11 @@ class PersymmetricCovariance:
         m = np.array(self.entries, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionError(f"covariance must be square, got {m.shape}")
+        if not np.isfinite(m).all():
+            raise ModelError("covariance contains non-finite entries")
         if _mirror_gap(m, lambda x: x.conj().T) > 1e-12:
             raise ModelError("covariance is not Hermitian")
-        m = 0.5 * (m + m.conj().T)
+        m = _hermitian_part(m)
         if np.linalg.eigvalsh(m)[0] <= 0.0:
             raise ModelError("covariance is not positive definite")
         if not is_persymmetric(m, tol=1e-10):

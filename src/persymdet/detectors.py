@@ -49,37 +49,23 @@ def _batch_values(name: str, psi0, psi1, k, n, index_base: int = 0) -> np.ndarra
     return _values(name, e0, e1, k, n, index_base)
 
 
-def _values(name: str, e0, e1, k, n, index_base: int = 0):
+def _values(name: str, e0, e1, k, n, index_base: int = 0, pre=None):
     """Detector ``name`` from the entries ``(a, b, c, d)`` of psi0 and psi1.
 
     One body on stacked arrays or Python floats: it uses only operators and
     NumPy ufuncs, with squares written as products, so both round alike.
-    Every check runs before the division it guards.
+    Every check runs before the division it guards. ``pre`` is the
+    :func:`_prelude` of the same entries, when the caller already has it.
     """
-    tr0, tr1 = e0[0] + e0[3], e1[0] + e1[3]
     if name == NEGATIVE_CONTROL:
-        return tr0
-    positive = ((tr0, "psi0"), (tr1, "psi1"))
+        return e0[0] + e0[3]
     if name == _TWO_STEP:
-        positive = positive[1:]
-    for tr, which in positive:
-        bad = tr <= 0.0
-        if _any(bad):
-            raise DegenerateStatisticError(
-                f"instance {index_base + int(np.argmax(bad))}: Tr[{which}] is not positive"
-            )
-    if name == _TWO_STEP:
-        return tr0 / tr1
-    # scaling S by Tr psi1 > 0 is a group action and gives unit Tr psi1;
-    # there no product below over- or underflows, whatever the scale of S
-    a0, b0, c0, d0 = e0
-    a1, b1, c1, d1 = e1
-    e0 = (a0 / tr1, b0 / tr1, c0 / tr1, d0 / tr1)
-    e1 = (a1 / tr1, b1 / tr1, c1 / tr1, d1 / tr1)
-    tr0, det0 = _trace_det(*e0)
-    tr1, det1 = _trace_det(*e1)
-    g0, _ = _gamma_hat(tr0, det0, k, n)
-    g1, _ = _gamma_hat(tr1, det1, k, n)
+        tr1 = e1[0] + e1[3]
+        _check_positive(((tr1, "psi1"),), index_base)
+        return (e0[0] + e0[3]) / tr1
+    if pre is None:
+        pre = _prelude(e0, e1, k, n, index_base)
+    e0, e1, tr0, det0, tr1, det1, g0, g1 = pre
     if name == _WALD:
         return g1 * (tr0 - tr1)
     if name == _GLR:
@@ -117,8 +103,42 @@ def _values(name: str, e0, e1, k, n, index_base: int = 0):
     raise ValueError(f"unknown statistic {name!r}")
 
 
+def _check_positive(traces, index_base: int) -> None:
+    """Raise naming the first instance whose trace is not positive."""
+    for tr, which in traces:
+        bad = tr <= 0.0
+        if _any(bad):
+            raise DegenerateStatisticError(
+                f"instance {index_base + int(np.argmax(bad))}: Tr[{which}] is not positive"
+            )
+
+
+def _prelude(e0, e1, k, n, index_base: int = 0) -> tuple:
+    """What GLR, Rao and Wald share: both forms over ``Tr psi1``, their traces
+    and determinants, and both ``gamma_hat``; after checking both traces."""
+    tr0, tr1 = e0[0] + e0[3], e1[0] + e1[3]
+    _check_positive(((tr0, "psi0"), (tr1, "psi1")), index_base)
+    # scaling S by Tr psi1 > 0 is a group action and gives unit Tr psi1;
+    # there no product below over- or underflows, whatever the scale of S
+    a0, b0, c0, d0 = e0
+    a1, b1, c1, d1 = e1
+    e0 = (a0 / tr1, b0 / tr1, c0 / tr1, d0 / tr1)
+    e1 = (a1 / tr1, b1 / tr1, c1 / tr1, d1 / tr1)
+    tr0, det0 = _trace_det(*e0)
+    tr1, det1 = _trace_det(*e1)
+    g0, _ = _gamma_hat(tr0, det0, k, n)
+    g1, _ = _gamma_hat(tr1, det1, k, n)
+    return e0, e1, tr0, det0, tr1, det1, g0, g1
+
+
 def _scalar(name: str, psis: PsiPair, k, n) -> float:
-    return float(_values(name, *psis.entries, k, n))
+    """One statistic of ``psis``; GLR, Rao and Wald reuse its prelude per ``(k, n)``."""
+    pre = None
+    if name in (_GLR, _RAO, _WALD):
+        pre = psis._memo.get((k, n))
+        if pre is None:
+            pre = psis._memo[k, n] = _prelude(*psis.entries, k, n)
+    return float(_values(name, *psis.entries, k, n, pre=pre))
 
 
 def glr(psis: PsiPair, k: int, n: int) -> float:

@@ -16,13 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .canonical import _freeze
+from .canonical import _freeze, _hermitian_part
 from .detectors import _scalar, mis_form
 from .errors import DimensionError
 from .scenario import _check_count
-from .statistics import SufficientStatistic, compute_psi, mis
+from .statistics import SufficientStatistic, _built_statistic, compute_psi, mis
 
 _SAMPLING_ATTEMPTS = 100
+_LOG_PHI_RANGE = (np.log(1e-2), np.log(1e2))  # phi is log-uniform on [1e-2, 1e2]
 _DEVIATION_FLOOR = 1e-12  # least denominator of an invariance deviation
 # discrimination_check: white (N, K) draws, distinct when t differs by more than TOL
 _DISCRIMINATION_N, _DISCRIMINATION_K, _DISCRIMINATION_TOL = 8, 16, 1e-6
@@ -113,10 +114,11 @@ def sample_group_element(
         )
     theta = rng.uniform(0.0, 2.0 * np.pi)
     c, s = np.cos(theta), np.sin(theta)
-    u = np.array([[c, -s], [s, c]])
-    if rng.random() < 0.5:
-        u = u @ np.diag([1.0, -1.0])
-    phi = float(np.exp(rng.uniform(np.log(1e-2), np.log(1e2))))
+    if rng.random() < 0.5:  # the rotation times the reflection diag(1, -1)
+        u = np.array([[c, s], [s, -c]])
+    else:
+        u = np.array([[c, -s], [s, c]])
+    phi = float(np.exp(rng.uniform(*_LOG_PHI_RANGE)))
     # the zeros below g11, g11 != 0 and an invertible G22 (cond <= cap) hold
     # from the loop; U is a rotation or a reflection and phi = exp(.) > 0
     return _built(g, u, phi)
@@ -146,20 +148,29 @@ def act(elem: GroupElement, stat: SufficientStatistic) -> SufficientStatistic:
     if elem.n != stat.n:
         raise DimensionError("element and statistic dimensions do not match")
     zp = elem.g @ stat.zp @ elem.u
-    s = elem.phi * (elem.g @ stat.s @ elem.g.T)
-    return SufficientStatistic(zp=zp, s=s, k=stat.k)
+    return _moved(zp, elem.phi * (elem.g @ stat.s @ elem.g.T), stat.k)
+
+
+def _moved(zp: np.ndarray, s: np.ndarray, k: int) -> SufficientStatistic:
+    """The image of a valid statistic under an action. (N, K) is unchanged, so
+    the shape and support checks still hold; S is symmetrized rather than
+    checked for symmetry, and finiteness is checked again."""
+    s = _hermitian_part(s)
+    if not (np.isfinite(zp).all() and np.isfinite(s).all()):
+        raise ValueError("statistic contains non-finite entries")
+    return _built_statistic(zp, s, k)
 
 
 def act_linear(elem: GroupElement, stat: SufficientStatistic) -> SufficientStatistic:
     """First sub-action: ``(Zp, S) -> (G Zp U, G S G')`` (no scaling)."""
-    return act(GroupElement(g=elem.g, u=elem.u, phi=1.0), stat)
+    return act(_built(elem.g, elem.u, 1.0), stat)
 
 
 def act_scale(phi: float, stat: SufficientStatistic) -> SufficientStatistic:
     """Second sub-action: pure scatter scaling ``(Zp, S) -> (Zp, phi S)``."""
     if not phi > 0.0:
         raise ValueError("phi must be positive")
-    return SufficientStatistic(zp=stat.zp, s=phi * stat.s, k=stat.k)
+    return _moved(stat.zp, phi * stat.s, stat.k)
 
 
 def factorization_deviation(elem: GroupElement, stat: SufficientStatistic) -> float:

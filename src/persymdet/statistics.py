@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .canonical import CanonicalizedData, _freeze, _mirror_gap
+from .canonical import CanonicalizedData, _freeze, _hermitian_part, _mirror_gap
 from .errors import (
     ConditioningError,
     DegenerateStatisticError,
@@ -77,11 +77,20 @@ class SufficientStatistic:
         if not (np.isfinite(zp).all() and np.isfinite(s).all()):
             raise ValueError("statistic contains non-finite entries")
         object.__setattr__(self, "zp", _freeze(zp))
-        object.__setattr__(self, "s", _freeze(0.5 * (s + s.T)))
+        object.__setattr__(self, "s", _freeze(_hermitian_part(s)))
 
     @property
     def n(self) -> int:
         return self.zp.shape[0]
+
+
+def _built_statistic(zp: np.ndarray, s: np.ndarray, k: int) -> SufficientStatistic:
+    """A statistic whose checks already hold by construction; only freezes."""
+    stat = object.__new__(SufficientStatistic)
+    object.__setattr__(stat, "zp", _freeze(zp))
+    object.__setattr__(stat, "s", _freeze(s))
+    object.__setattr__(stat, "k", k)
+    return stat
 
 
 def assemble(data: CanonicalizedData) -> SufficientStatistic:
@@ -139,27 +148,33 @@ def _trace_det(a, b, c, d):
 class PsiPair:
     """The quadratic forms ``(psi0, psi1)`` and their ordered eigenvalues.
 
-    ``entries`` holds ``(a, b, c, d)`` of each form as Python floats.
+    ``entries`` holds ``(a, b, c, d)`` of each form as Python floats;
+    ``_memo`` caches what the detectors share, per ``(k, n)``.
     """
 
     psi0: np.ndarray
     psi1: np.ndarray
     lam: tuple = None
     entries: tuple = field(init=False, repr=False, compare=False)
+    _memo: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         psi0 = np.array(self.psi0, dtype=float)
         psi1 = np.array(self.psi1, dtype=float)
         if psi0.shape != (2, 2) or psi1.shape != (2, 2):
             raise DimensionError("psi0 and psi1 must be 2x2")
-        psi0 = 0.5 * (psi0 + psi0.T)
-        psi1 = 0.5 * (psi1 + psi1.T)
-        object.__setattr__(self, "psi0", _freeze(psi0))
-        object.__setattr__(self, "psi1", _freeze(psi1))
-        e0, e1 = (tuple(m.ravel().tolist()) for m in (psi0, psi1))
-        object.__setattr__(self, "entries", (e0, e1))
-        lam = (*_eig2(*e0), *_eig2(*e1)) if self.lam is None else self.lam
-        object.__setattr__(self, "lam", tuple(float(x) for x in lam))
+        _fill_pair(self, _hermitian_part(psi0), _hermitian_part(psi1), self.lam)
+
+
+def _fill_pair(pair: PsiPair, psi0: np.ndarray, psi1: np.ndarray, lam) -> None:
+    """Freeze symmetric 2x2 forms into ``pair`` with their entries and eigenvalues."""
+    object.__setattr__(pair, "psi0", _freeze(psi0))
+    object.__setattr__(pair, "psi1", _freeze(psi1))
+    e0, e1 = (tuple(m.ravel().tolist()) for m in (psi0, psi1))
+    object.__setattr__(pair, "entries", (e0, e1))
+    lam = (*_eig2(*e0), *_eig2(*e1)) if lam is None else lam
+    object.__setattr__(pair, "lam", tuple(float(x) for x in lam))
+    object.__setattr__(pair, "_memo", {})
 
 
 def _psi_batch(zp: np.ndarray, s: np.ndarray, index_base: int = 0):
@@ -187,7 +202,7 @@ def _psi_batch(zp: np.ndarray, s: np.ndarray, index_base: int = 0):
     w = (s[:, :1, 1:] @ x)[:, 0, :]
     c = s[:, 0, 0] - w[:, 2]
     bad = ~(np.isfinite(c) & (c > 0.0))
-    if np.any(bad):
+    if np.count_nonzero(bad):
         offset = int(np.argmax(bad))
         raise DegenerateStatisticError(
             f"trial {index_base + offset}: Schur complement of S22 is {float(c[offset])}"
@@ -206,10 +221,13 @@ def compute_psi(stat: SufficientStatistic) -> PsiPair:
     if stat.n < 2:
         raise DimensionError("the block partition requires N >= 2")
     ev = np.linalg.eigvalsh(stat.s)
-    if not (ev[0] > 0.0 and ev[-1] <= _COND_LIMIT * ev[0]):
+    if not (ev[0] > 0.0 and ev[-1] / _COND_LIMIT <= ev[0]):
         raise ConditioningError("scatter matrix S is too ill-conditioned or not positive definite")
     psi0, psi1 = _psi_batch(stat.zp[None], stat.s[None])
-    return PsiPair(psi0=psi0[0], psi1=psi1[0])
+    # psi1 is symmetrized and psi0 = psi1 + u u' / c, so both are exactly symmetric
+    pair = object.__new__(PsiPair)
+    _fill_pair(pair, psi0[0], psi1[0], None)
+    return pair
 
 
 @dataclass(frozen=True)

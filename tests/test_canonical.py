@@ -71,6 +71,23 @@ class TestIsPersymmetric:
         with pytest.raises(ModelError, match="not Hermitian"):
             PersymmetricCovariance(scale * m)
 
+    def test_largest_finite_scale(self):
+        # symmetrizing as (M + M^H) / 2 once overflowed to inf here and ended
+        # in a raw LinAlgError from eigvalsh
+        m = np.array(covariance_model(4, 0.5, 0.1, 0.0).entries)
+        big = m * (1e308 / np.abs(m).max())
+        with np.errstate(over="raise", invalid="raise"):
+            cov = PersymmetricCovariance(big)
+        assert np.isfinite(cov.entries).all()
+        assert np.array_equal(cov.entries, 0.5 * big + 0.5 * big.conj().T)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        m = np.array(covariance_model(4, 0.5, 0.1, 0.0).entries)
+        m[0, 1] = m[1, 0] = bad
+        with pytest.raises(ModelError, match="non-finite"):
+            PersymmetricCovariance(m)
+
 
 class TestBuildTransform:
     def test_n2_closed_form(self):

@@ -43,7 +43,7 @@ class TestInvarianceCheck:
     def test_nan_detector_fails(self, tmp_path, capsys, monkeypatch):
         # a NaN deviation is no invariance: it must fail, not drop out of a max
         values = detectors._values
-        nan = lambda name, *a: float("nan") if name == "wald" else values(name, *a)
+        nan = lambda name, *a, **kw: float("nan") if name == "wald" else values(name, *a, **kw)
         monkeypatch.setattr(detectors, "_values", nan)
         cfg = _write(tmp_path / "c.json", {**BASE, "trials": 5})
         assert main(["invariance-check", "--config", cfg]) == 1

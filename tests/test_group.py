@@ -4,6 +4,8 @@ import pytest
 from persymdet import (
     DimensionError,
     GroupElement,
+    PsiPair,
+    SufficientStatistic,
     act,
     act_linear,
     act_scale,
@@ -74,6 +76,34 @@ class TestSampling:
             assert np.array_equal(checked.g, e.g) and np.array_equal(checked.u, e.u)
             assert checked.phi == e.phi and type(e.phi) is float
             assert not e.g.flags.writeable and not e.u.flags.writeable
+
+    def test_actions_and_forms_pass_public_checks(self, rng):
+        # act and compute_psi skip the constructors' checks; each must still
+        # hold, and the constructors must return the very same bytes
+        for i in range(200):
+            n = 2 + i % 9
+            stat = group._random_statistic(rng, n, 2 * n + i % 3)
+            e = sample_group_element(n, rng, max_condition=1e3)
+            for moved in (act(e, stat), act_linear(e, stat), act_scale(e.phi, stat)):
+                checked = SufficientStatistic(moved.zp, moved.s, moved.k)
+                assert checked.zp.tobytes() == moved.zp.tobytes()
+                assert checked.s.tobytes() == moved.s.tobytes() and checked.k == moved.k
+                assert not moved.zp.flags.writeable and not moved.s.flags.writeable
+                psis = compute_psi(moved)
+                public = PsiPair(psis.psi0, psis.psi1)
+                assert public.psi0.tobytes() == psis.psi0.tobytes()
+                assert public.psi1.tobytes() == psis.psi1.tobytes()
+                assert public.entries == psis.entries and public.lam == psis.lam
+                assert not psis.psi0.flags.writeable and not psis.psi1.flags.writeable
+
+    def test_action_rejects_non_finite_image(self, stat_factory):
+        stat = stat_factory(0)
+        elem = GroupElement(np.diag([1e300] + [1.0] * (stat.n - 1)), np.eye(2), 1.0)
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match="non-finite"):
+                act_scale(1e308, stat)
+            with pytest.raises(ValueError, match="non-finite"):
+                act(elem, stat)
 
     @pytest.mark.parametrize("cap", [np.inf, np.nan, 0.5, 0.0, -1.0])
     def test_unbounded_condition_cap_rejected(self, rng, stat_factory, cap):

@@ -66,6 +66,17 @@ class TestAssemble:
         with pytest.raises(ValueError, match="S is not symmetric"):
             SufficientStatistic(zp=np.ones((4, 2)), s=scale * s, k=8)
 
+    def test_largest_finite_scale(self):
+        # symmetrizing as (S + S') / 2 once froze an inf into S at this scale
+        a = np.random.default_rng(5).standard_normal((4, 16))
+        s = a @ a.T
+        s *= 1e308 / np.abs(s).max()
+        s[0, 1] = np.nextafter(s[0, 1], np.inf)
+        with np.errstate(over="raise", invalid="raise"):
+            stat = SufficientStatistic(np.ones((4, 2)), s, k=8)
+        assert np.isfinite(stat.s).all()
+        assert np.array_equal(stat.s, stat.s.T) and np.array_equal(stat.s, 0.5 * s + 0.5 * s.T)
+
     def test_low_support_warns(self):
         with pytest.warns(UserWarning, match="K >= 2N"):
             SufficientStatistic(zp=np.zeros((4, 2)), s=np.eye(4), k=4)
@@ -217,6 +228,7 @@ class TestScaleEstimates:
         limit = n / ((k + 1 - n) * tr)
         assert est.gamma0_hat == pytest.approx(limit, rel=1e-9)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("phi", [1e-300, 1e-200, 1e200, 1e300])
     def test_equivariant_at_every_scale(self, stat_factory, phi):
         # gamma_hat(phi S) = phi gamma_hat(S) and beta(phi S) = beta(S) / phi,
@@ -226,8 +238,7 @@ class TestScaleEstimates:
 
         stat = stat_factory(0)
         ref = scale_estimates(compute_psi(stat), stat.k, stat.n)
-        with np.errstate(over="ignore"):  # the conditioning product in compute_psi
-            got = scale_estimates(compute_psi(act_scale(phi, stat)), stat.k, stat.n)
+        got = scale_estimates(compute_psi(act_scale(phi, stat)), stat.k, stat.n)
         assert got.gamma0_hat == pytest.approx(phi * ref.gamma0_hat, rel=1e-12)
         assert got.gamma1_hat == pytest.approx(phi * ref.gamma1_hat, rel=1e-12)
         assert got.beta0 == pytest.approx(ref.beta0 / phi, rel=1e-12)
