@@ -35,18 +35,21 @@ STATISTIC_NAMES = tuple(k.value for k in DetectorKind) + (NEGATIVE_CONTROL,)
 _GLR, _TWO_STEP, _RAO, _WALD = (kind.value for kind in DetectorKind)
 
 
-def _batch_values(name: str, psi0, psi1, k, n, index_base: int = 0) -> np.ndarray:
+def _batch_values(name: str, psi0, psi1, k, n, index_base: int = 0, memo=None) -> np.ndarray:
     """Detector values over stacked (..., 2, 2) psi pairs.
 
     A thin array wrapper around :func:`_values`, the one formula body that
     the Monte Carlo engine and the scalar public API share. ``index_base``
     offsets instance numbers in error messages (trial indices in long runs).
+    ``memo`` is a dict that GLR, Rao and Wald share their prelude through,
+    one per ``(psi0, psi1)`` stack, as :class:`PsiPair` keeps one per pair.
     """
     psi0 = np.asarray(psi0, dtype=float)
     psi1 = np.asarray(psi1, dtype=float)
     e0 = (psi0[..., 0, 0], psi0[..., 0, 1], psi0[..., 1, 0], psi0[..., 1, 1])
     e1 = (psi1[..., 0, 0], psi1[..., 0, 1], psi1[..., 1, 0], psi1[..., 1, 1])
-    return _values(name, e0, e1, k, n, index_base)
+    pre = None if memo is None else _shared_prelude(name, memo, e0, e1, k, n, index_base)
+    return _values(name, e0, e1, k, n, index_base, pre)
 
 
 def _values(name: str, e0, e1, k, n, index_base: int = 0, pre=None):
@@ -131,13 +134,23 @@ def _prelude(e0, e1, k, n, index_base: int = 0) -> tuple:
     return e0, e1, tr0, det0, tr1, det1, g0, g1
 
 
+def _shared_prelude(name: str, memo: dict, e0, e1, k, n, index_base: int = 0):
+    """The :func:`_prelude` of ``name``, kept in ``memo`` per ``(k, n)``.
+
+    GLR, Rao and Wald share it, so the first of them to run on a pair of
+    forms computes it (and raises its trace error); None for the others.
+    """
+    if name not in (_GLR, _RAO, _WALD):
+        return None
+    pre = memo.get((k, n))
+    if pre is None:
+        pre = memo[k, n] = _prelude(e0, e1, k, n, index_base)
+    return pre
+
+
 def _scalar(name: str, psis: PsiPair, k, n) -> float:
     """One statistic of ``psis``; GLR, Rao and Wald reuse its prelude per ``(k, n)``."""
-    pre = None
-    if name in (_GLR, _RAO, _WALD):
-        pre = psis._memo.get((k, n))
-        if pre is None:
-            pre = psis._memo[k, n] = _prelude(*psis.entries, k, n)
+    pre = _shared_prelude(name, psis._memo, *psis.entries, k, n)
     return float(_values(name, *psis.entries, k, n, pre=pre))
 
 

@@ -99,10 +99,11 @@ def sample_group_element(
         # a finite cap is what keeps G22 invertible; no condition number is below 1
         raise ValueError(f"max_condition must be finite and at least 1, not {max_condition!r}")
     for _ in range(_SAMPLING_ATTEMPTS):
+        # one draw in the order g11, the rest of row 0, then G22 row by row
+        x = rng.standard_normal(n * n - n + 1)
         g = np.zeros((n, n))
-        g[0, 0] = rng.standard_normal()
-        g[0, 1:] = rng.standard_normal(n - 1)
-        g[1:, 1:] = rng.standard_normal((n - 1, n - 1))
+        g[0] = x[:n]
+        g[1:, 1:] = x[n:].reshape(n - 1, n - 1)
         if g[0, 0] == 0.0:
             continue
         if _cond(g) > max_condition or _cond(g[1:, 1:]) > max_condition:

@@ -20,14 +20,15 @@ of a CFAR sweep and its calibration sample, both hypotheses of an ROC curve
 or an ancillarity check), in order, and cuts them once, into draw blocks of
 :func:`_block_rows` trials; a block may cross samples. The cut depends only
 on the sample sizes and N and K. Each block is one task on a thread pool of
-``workers`` threads: it is filled with one rekeyer, each piece from its own
-sample's streams and maps, then solved for psi and evaluated for each
-statistic, and its rows go straight into the call's outputs, which hold all
-trials in plan order. A block shares no state with any other, so the
-workers fill theirs concurrently for any N and K: the per-trial rekey holds
-the GIL, but the normal fill, most of a draw, releases it. Each worker makes
-one set of block buffers per call, ``_BLOCK_BYTES`` in all, and reuses it
-for all of its blocks.
+``workers`` threads: it is filled with one rekeyer, each piece mapped from
+its own sample's streams and maps, its scatters formed once for the whole
+block, then solved for psi and evaluated for each statistic (GLR, Rao and
+Wald share one prelude per block), and its rows go straight into the call's
+outputs, which hold all trials in plan order. A block shares no state with
+any other, so the workers fill theirs concurrently for any N and K: the
+per-trial rekey holds the GIL, but the normal fill, most of a draw,
+releases it. Each worker makes one set of block buffers per call,
+``_BLOCK_BYTES`` in all, and reuses it for all of its blocks.
 """
 
 import math
@@ -232,11 +233,14 @@ def _draw_batch(jobs: Sequence[_Job], models: Sequence[_ChunkMaps], pieces, scra
     trial's stream read in the order of :func:`scenario.sample_dataset`; the
     fill shares no state with other blocks, so workers fill theirs
     concurrently. Each piece is then mapped with its own sample's maps
-    through ``out=`` into the worker's buffers, its secondaries by one GEMM
-    over its rows. Every GEMM is per trial (a trial's primaries are one
-    vector-matrix product), so no value depends on the block or the other
-    trials in it. The returned ``zp`` ``(rows, N, 2)`` and ``s``
-    ``(rows, N, N)`` are views that the worker's next block overwrites.
+    through ``out=`` into the worker's buffers: its two secondary GEMMs and
+    its primaries. The two secondary halves are summed and each trial's S
+    formed once over the whole block, after the piece loop, as neither needs
+    a sample's maps. Every product is per trial (a trial's primaries are one
+    vector-matrix product, its S one matrix product), so no value depends on
+    the block or the other trials in it. The returned ``zp`` ``(rows, N, 2)``
+    and ``s`` ``(rows, N, N)`` are views that the worker's next block
+    overwrites.
     Tests pin them to ``assemble(canonicalize(sample_dataset(...)))``.
     """
     cfg = jobs[pieces[0].sample].cfg
@@ -250,17 +254,16 @@ def _draw_batch(jobs: Sequence[_Job], models: Sequence[_ChunkMaps], pieces, scra
             rekey(master_seed, p.start + j).standard_normal(out=blk[j])
     for p in pieces:
         maps, r = models[p.sample], p.rows
-        zs, zi = zs_re[r], zs_im[r]
-        np.matmul(buf[r, 2 * n : 2 * n + kn].reshape(-1, k, n), maps.sec_re, out=zs)
-        np.matmul(buf[r, 2 * n + kn :].reshape(-1, k, n), maps.sec_im, out=zi)
-        zs += zi
-        # rows [z1k_j | z2k_j] split into the 2K real secondaries z1k_j, z2k_j
-        zs = zs.reshape(-1, 2 * k, n)
-        np.matmul(np.swapaxes(zs, 1, 2), zs, out=s[r])
+        np.matmul(buf[r, 2 * n : 2 * n + kn].reshape(-1, k, n), maps.sec_re, out=zs_re[r])
+        np.matmul(buf[r, 2 * n + kn :].reshape(-1, k, n), maps.sec_im, out=zs_im[r])
         zpr = zp[r]
         np.matmul(buf[r, None, : 2 * n], maps.prim, out=zpr)
         if jobs[p.sample].cfg.hypothesis == "H1":
             zpr += maps.prim_mean
+    zs_re += zs_im
+    # rows [z1k_j | z2k_j] split into the 2K real secondaries z1k_j, z2k_j
+    zs = zs_re.reshape(m, 2 * k, n)
+    np.matmul(np.swapaxes(zs, 1, 2), zs, out=s)
     return zp.reshape(m, n, 2), s
 
 
@@ -268,8 +271,9 @@ def _evaluate(zp, s, job: _Job, index_base: int):
     """Detector values (and eigenvalue quadruples) of stacked ``(Zp, S)``."""
     k, n = job.cfg.k, job.cfg.n
     psi0, psi1 = _psi_batch(zp, s, index_base=index_base)
+    memo = {}  # GLR, Rao and Wald share one prelude per block
     values = {
-        name: detectors._batch_values(name, psi0, psi1, k, n, index_base=index_base)
+        name: detectors._batch_values(name, psi0, psi1, k, n, index_base=index_base, memo=memo)
         for name in job.names
     }
     lam = None
@@ -499,16 +503,19 @@ def cfar_sweep(
         cell_jobs.append(0 if reference else len(jobs) - 1)
     values, _, offsets = _collect(jobs, workers)
 
-    bands = {n: binomial_band(target_pfa, n) for n in {jobs[j].trials for j in cell_jobs}}
-    thresholds, cells = {}, []
+    # one frozen estimate and verdict per distinct (count, trials), shared by its cells
+    verdicts, thresholds, cells = {}, {}, []
     for name in names:
         v = values[name]
         eta = thresholds[name] = _order_statistic_threshold(np.sort(v[: offsets[1]]), target_pfa)
         counts = np.add.reduceat(v >= eta, offsets[:-1], dtype=np.intp).tolist()
         for (g, r), job_idx in zip(grid, cell_jobs):
-            est = _estimate(counts[job_idx], jobs[job_idx].trials)
-            passed = abs(est.point - target_pfa) <= bands[est.n]
-            cells.append(CfarCell(name, g, r, est, passed))
+            key = (counts[job_idx], jobs[job_idx].trials)
+            if key not in verdicts:
+                est = _estimate(*key)
+                band = binomial_band(target_pfa, est.n)
+                verdicts[key] = (est, abs(est.point - target_pfa) <= band)
+            cells.append(CfarCell(name, g, r, *verdicts[key]))
     return CfarSweepResult(
         cells=tuple(cells), thresholds=thresholds, target_pfa=target_pfa, trials=trials,
         trials_drawn=int(offsets[-1]),

@@ -248,7 +248,8 @@ class TestMisSample:
         # gamma = 1e308 overflows S; the Schur complement prints as a float
         cfg = _write(tmp_path / "c.json", {**self.CFG, "gamma": 1e308})
         out = tmp_path / "x.csv"
-        assert main(["mis-sample", "--config", cfg, "--out", str(out)]) == 2
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert main(["mis-sample", "--config", cfg, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err == "config error: trial 0: Schur complement of S22 is nan\n"
         assert not out.exists()

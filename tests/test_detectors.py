@@ -289,14 +289,21 @@ class TestScalarEqualsBatched:
         _assert_scalar_equals_batched(cfg, 8, seed)
 
     def test_shared_prelude_in_any_order(self):
-        # GLR, Rao and Wald share one cached prelude per (k, n) on a PsiPair;
-        # any call order must give the uncached body's and the engine's bits
+        # GLR, Rao and Wald share one cached prelude per (k, n), on a PsiPair
+        # and on an engine block; any call order must give the uncached
+        # body's and the engine's bits
         cfg = ScenarioConfig(n=8, k=16, rho=0.9, cnr_db=10.0, gamma=4.0, nu=0.1,
                              hypothesis="H1", sinr_db=10.0)
         zp, s = draw_task(cfg, 0, 8, 7)
         psi0, psi1 = _psi_batch(zp, s)
         calls = [(name, k, n) for name in ("glr", "rao", "wald") for k, n in ((16, 8), (40, 5))]
         batched = {c: detectors._batch_values(*c[:1], psi0, psi1, *c[1:]) for c in calls}
+        # the engine shares one prelude per block through a memo dict
+        for shift in range(len(calls)):
+            memo = {}
+            for c in calls[shift:] + calls[:shift] + calls[::-1]:
+                got = detectors._batch_values(*c[:1], psi0, psi1, *c[1:], memo=memo)
+                assert got.tobytes() == batched[c].tobytes(), (c, shift)
         for i, (z, m) in enumerate(zip(zp, s)):
             stat = SufficientStatistic(zp=z, s=m, k=cfg.k)
             for shift in range(len(calls)):

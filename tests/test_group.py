@@ -68,6 +68,31 @@ class TestSampling:
         for a, b in zip(ours, draw()):
             assert np.array_equal(a.g, b.g) and np.array_equal(a.u, b.u) and a.phi == b.phi
 
+    @pytest.mark.parametrize("n, cap", [(2, 1e2), (3, 1e2), (8, 1e2), (32, 1e8)])
+    def test_one_normal_draw_is_the_three_call_stream(self, n, cap):
+        # G's n^2 - n + 1 normals come from one call; g11, the rest of row 0
+        # and G22 drawn by three calls give the same candidates, and the
+        # draws after G read the same stream
+        def three_calls(rng):
+            while True:
+                g = np.zeros((n, n))
+                g[0, 0] = rng.standard_normal()
+                g[0, 1:] = rng.standard_normal(n - 1)
+                g[1:, 1:] = rng.standard_normal((n - 1, n - 1))
+                if g[0, 0] != 0.0 and group._cond(g) <= cap and group._cond(g[1:, 1:]) <= cap:
+                    break
+            rng.uniform(0.0, 2.0 * np.pi)
+            rng.random()
+            return g, float(np.exp(rng.uniform(*group._LOG_PHI_RANGE)))
+
+        for seed in range(50):
+            ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(3):
+                e = sample_group_element(n, ours, max_condition=cap)
+                g, phi = three_calls(ref)
+                assert np.array_equal(e.g, g) and e.phi == phi
+                assert ours.bit_generator.state == ref.bit_generator.state
+
     def test_sampled_elements_pass_public_checks(self, rng):
         # the sampler skips the constructor's checks; each must still hold
         for i in range(400):

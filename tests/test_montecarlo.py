@@ -5,6 +5,7 @@ import warnings
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -315,6 +316,27 @@ class TestTraceEntryPoints:
         assert len(calls) == 33
         for c in calls:
             assert Counter(c) == Counter(["psi", *names])
+
+    @pytest.mark.parametrize("names", [
+        *(list(c) + ["2s-glr", "trace-psi0"] for r in (1, 2, 3)
+          for c in combinations(["wald", "rao", "glr"], r)),
+        ["trace-psi0", "2s-glr"],
+    ])
+    def test_one_prelude_per_block(self, monkeypatch, names):
+        # GLR, Rao and Wald share one prelude per draw block; the trace
+        # statistics need none
+        calls = []
+        real_prelude = detectors._prelude
+
+        def prelude(*args, **kwargs):
+            calls.append(args[-1])
+            return real_prelude(*args, **kwargs)
+
+        monkeypatch.setattr(detectors, "_prelude", prelude)
+        statistic_samples(CFG, names, 1_300, 3, workers=2)
+        shared = {"glr", "rao", "wald"} & set(names)
+        # 1 300 trials in blocks of 606 rows starting at trials 0, 606, 1 212
+        assert sorted(calls) == ([0, 606, 1_212] if shared else [])
 
 
 def _per_sample_plan(sizes, rows):
@@ -816,6 +838,26 @@ class TestCfarSweep:
         cfg = replace(CFG, gamma=0.5, rho=0.8)
         values = statistic_samples(cfg, name, trials, derive_seed(seed, 1 + idx))[name]
         assert cell.estimate == estimate_rate(values, eta)
+
+    def test_one_trial_cells_match_their_own_estimates(self):
+        # cells with one (count, trials) share one estimate and verdict;
+        # each must equal the cell built from its own sample
+        names = list(detectors.STATISTIC_NAMES)
+        gammas, rhos, pfa = [0.25, 1.0, 4.0], [0.0, 0.9, 0.99], 0.01
+        grid = [(g, r) for g in gammas for r in rhos]
+        for seed in range(4):
+            result = cfar_sweep(names, CFG, gammas, rhos, pfa, 1, seed, calibration_trials=1)
+            expected = []
+            for name in names:
+                eta = result.thresholds[name]
+                for idx, (g, r) in enumerate(grid):
+                    job = 0 if (g, r) == (1.0, rhos[0]) else 1 + idx
+                    cfg = replace(CFG, gamma=g, rho=r)
+                    value = statistic_samples(cfg, name, 1, derive_seed(seed, job))[name]
+                    est = montecarlo._estimate(int(value[0] >= eta), 1)
+                    passed = abs(est.point - pfa) <= binomial_band(pfa, 1)
+                    expected.append(montecarlo.CfarCell(name, g, r, est, passed))
+            assert list(result.cells) == expected
 
 
 class TestAncillarity:
