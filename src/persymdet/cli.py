@@ -106,10 +106,13 @@ def _require(raw: dict, key: str):
 
 
 def _number(value, what: str) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise _ConfigError(f"{what} must be a number, not {value!r}") from None
+    """A JSON number as a float; a boolean, a string or an out-of-range integer is not."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise _ConfigError(f"{what} must be a number, not {value!r}")
 
 
 def _numbers(value, what: str) -> list:
@@ -334,8 +337,6 @@ def cmd_roc(config_path, out_path, seed, workers) -> int:
         raise _ConfigError("roc needs sinr_db or sinr_grid")
     if not sinr_grid:
         raise _ConfigError("sinr_grid must be nonempty")
-    if not pfa_grid or any(not 0.0 < p <= 1.0 for p in pfa_grid):
-        raise _ConfigError("pfa_grid values must lie in (0, 1]")
     rows = []
     try:
         for i, sinr_db in enumerate(sinr_grid):

@@ -27,12 +27,12 @@ Wald share one prelude per block), and its rows go straight into the call's
 outputs, which hold all trials in plan order. A block shares no state with
 any other, so the workers fill theirs concurrently for any N and K: the
 per-trial rekey holds the GIL, but the normal fill, most of a draw,
-releases it. Each worker makes one set of block buffers per call,
-``_BLOCK_BYTES`` in all, and reuses it for all of its blocks.
+releases it. Each block allocates its own buffers, ``_BLOCK_BYTES`` at
+most, and drops them once its rows are written, so a worker holds one
+block's buffers at a time.
 """
 
 import math
-import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -49,7 +49,7 @@ from .scenario import _check_count
 from .statistics import _any, _degenerate_lambda4, _eig2, _psi_batch, check_support
 from .streams import derive_seed, stream_rekeyer
 
-# Bytes of one worker's draw-block buffers (4 MB); see _block_rows.
+# Bytes of one draw block's buffers (4 MB), all a worker holds at a time; see _block_rows.
 _BLOCK_BYTES = 1 << 22
 _Z95 = 1.959963984540054
 _BAND_SIGMAS = 3.0
@@ -201,64 +201,39 @@ def _block_rows(n: int, k: int, trials: int) -> int:
     return min(trials, max(1, _BLOCK_BYTES // row_bytes))
 
 
-class _Scratch(threading.local):
-    """One worker's draw-block buffers for one call.
-
-    A worker makes its set on its first block and reuses it for all of its
-    later blocks; the set goes when the call drops this object. Every buffer
-    holds a whole block of ``rows`` trials: the normals, both secondary GEMM
-    outputs, Zp and S, about ``_BLOCK_BYTES`` in all.
-    """
-
-    def __init__(self, rows: int, n: int, k: int):
-        self.rows, self._dims, self._buffers = rows, (n, k), None
-
-    def take(self, m: int) -> tuple:
-        """The first ``m`` rows of the normals, Zp, S and both GEMM outputs."""
-        if self._buffers is None:
-            (n, k), rows = self._dims, self.rows
-            self._buffers = (
-                np.empty((rows, 2 * n * (k + 1))),
-                np.empty((rows, 1, 2 * n)),
-                np.empty((rows, n, n)),
-                *np.empty((2, rows, k, 2 * n)),
-            )
-        return tuple(b[:m] for b in self._buffers)
-
-
-def _draw_batch(jobs: Sequence[_Job], models: Sequence[_ChunkMaps], pieces, scratch: _Scratch):
+def _draw_batch(jobs: Sequence[_Job], models: Sequence[_ChunkMaps], pieces):
     """Canonical ``(Zp, S)`` of one draw block, stacked in piece order.
 
-    One rekeyer fills the block's normals in the worker's buffer, each
-    trial's stream read in the order of :func:`scenario.sample_dataset`; the
-    fill shares no state with other blocks, so workers fill theirs
-    concurrently. Each piece is then mapped with its own sample's maps
-    through ``out=`` into the worker's buffers: its two secondary GEMMs and
-    its primaries. The two secondary halves are summed and each trial's S
-    formed once over the whole block, after the piece loop, as neither needs
-    a sample's maps. Every product is per trial (a trial's primaries are one
-    vector-matrix product, its S one matrix product), so no value depends on
-    the block or the other trials in it. The returned ``zp`` ``(rows, N, 2)``
-    and ``s`` ``(rows, N, N)`` are views that the worker's next block
-    overwrites.
+    The block allocates its own buffers, sized by its rows. One rekeyer
+    fills its normals, each trial's stream read in the order of
+    :func:`scenario.sample_dataset`, and each piece is mapped with its own
+    sample's maps as soon as it is filled, through ``out=`` into the block's
+    buffers: its two secondary GEMMs and its primaries. The two secondary
+    halves are summed and each trial's S formed once over the whole block,
+    after the piece loop, as neither needs a sample's maps. Every product is
+    per trial (a trial's primaries are one vector-matrix product, its S one
+    matrix product), so no value depends on the block or the other trials
+    in it. Returns ``zp`` ``(rows, N, 2)`` and ``s`` ``(rows, N, N)``, owned
+    by the caller.
     Tests pin them to ``assemble(canonicalize(sample_dataset(...)))``.
     """
     cfg = jobs[pieces[0].sample].cfg
     n, k = cfg.n, cfg.k
     kn, m = k * n, pieces[-1].rows.stop
-    buf, zp, s, zs_re, zs_im = scratch.take(m)
+    buf = np.empty((m, 2 * n * (k + 1)))
+    zp, s = np.empty((m, 1, 2 * n)), np.empty((m, n, n))
+    zs_re, zs_im = np.empty((2, m, k, 2 * n))
     rekey = stream_rekeyer()
     for p in pieces:
-        master_seed, blk = jobs[p.sample].master_seed, buf[p.rows]
+        job, maps, r = jobs[p.sample], models[p.sample], p.rows
+        blk = buf[r]
         for j in range(blk.shape[0]):
-            rekey(master_seed, p.start + j).standard_normal(out=blk[j])
-    for p in pieces:
-        maps, r = models[p.sample], p.rows
-        np.matmul(buf[r, 2 * n : 2 * n + kn].reshape(-1, k, n), maps.sec_re, out=zs_re[r])
-        np.matmul(buf[r, 2 * n + kn :].reshape(-1, k, n), maps.sec_im, out=zs_im[r])
+            rekey(job.master_seed, p.start + j).standard_normal(out=blk[j])
+        np.matmul(blk[:, 2 * n : 2 * n + kn].reshape(-1, k, n), maps.sec_re, out=zs_re[r])
+        np.matmul(blk[:, 2 * n + kn :].reshape(-1, k, n), maps.sec_im, out=zs_im[r])
         zpr = zp[r]
-        np.matmul(buf[r, None, : 2 * n], maps.prim, out=zpr)
-        if jobs[p.sample].cfg.hypothesis == "H1":
+        np.matmul(blk[:, None, : 2 * n], maps.prim, out=zpr)
+        if job.cfg.hypothesis == "H1":
             zpr += maps.prim_mean
     zs_re += zs_im
     # rows [z1k_j | z2k_j] split into the 2K real secondaries z1k_j, z2k_j
@@ -284,7 +259,7 @@ def _evaluate(zp, s, job: _Job, index_base: int):
     return values, lam
 
 
-def _run_chunk(jobs: Sequence[_Job], models: Sequence[_ChunkMaps], pieces, out, scratch):
+def _run_chunk(jobs: Sequence[_Job], models: Sequence[_ChunkMaps], pieces, out):
     """One draw block: draw, map and evaluate it, then write its rows.
 
     ``out`` is ``(values, lam)``: views of the call's outputs over the
@@ -292,7 +267,7 @@ def _run_chunk(jobs: Sequence[_Job], models: Sequence[_ChunkMaps], pieces, out, 
     """
     values, lam = out
     job = jobs[pieces[0].sample]
-    zp, s = _draw_batch(jobs, models, pieces, scratch)
+    zp, s = _draw_batch(jobs, models, pieces)
     try:
         block_values, block_lam = _evaluate(zp, s, job, pieces[0].start)
     except (DegenerateStatisticError, NearSingularDenominatorError):
@@ -328,15 +303,14 @@ def _collect(jobs: Sequence[_Job], workers: int):
     values = {name: np.empty(offsets[-1]) for name in jobs[0].names}
     lam = np.empty((offsets[-1], 4)) if jobs[0].with_lam else None
     n, k = jobs[0].cfg.n, jobs[0].cfg.k
-    rows = _block_rows(n, k, int(offsets[-1]))
-    scratch, blocks = _Scratch(rows, n, k), _plan(sizes, rows)
+    blocks = _plan(sizes, _block_rows(n, k, int(offsets[-1])))
 
     def work(pieces):
         first = offsets[pieces[0].sample] + pieces[0].start
         span = slice(first, first + pieces[-1].rows.stop)
         block_values = {name: arr[span] for name, arr in values.items()}
         block_lam = None if lam is None else lam[span]
-        _run_chunk(jobs, models, pieces, (block_values, block_lam), scratch)
+        _run_chunk(jobs, models, pieces, (block_values, block_lam))
 
     if workers > 1 and len(blocks) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -148,13 +148,14 @@ def _trace_det(a, b, c, d):
 class PsiPair:
     """The quadratic forms ``(psi0, psi1)`` and their ordered eigenvalues.
 
+    ``lam`` holds ``(l1, l2, l3, l4)``, always computed from the forms;
     ``entries`` holds ``(a, b, c, d)`` of each form as Python floats;
     ``_memo`` caches what the detectors share, per ``(k, n)``.
     """
 
     psi0: np.ndarray
     psi1: np.ndarray
-    lam: tuple = None
+    lam: tuple = field(init=False)
     entries: tuple = field(init=False, repr=False, compare=False)
     _memo: dict = field(init=False, repr=False, compare=False)
 
@@ -163,16 +164,16 @@ class PsiPair:
         psi1 = np.array(self.psi1, dtype=float)
         if psi0.shape != (2, 2) or psi1.shape != (2, 2):
             raise DimensionError("psi0 and psi1 must be 2x2")
-        _fill_pair(self, _hermitian_part(psi0), _hermitian_part(psi1), self.lam)
+        _fill_pair(self, _hermitian_part(psi0), _hermitian_part(psi1))
 
 
-def _fill_pair(pair: PsiPair, psi0: np.ndarray, psi1: np.ndarray, lam) -> None:
+def _fill_pair(pair: PsiPair, psi0: np.ndarray, psi1: np.ndarray) -> None:
     """Freeze symmetric 2x2 forms into ``pair`` with their entries and eigenvalues."""
     object.__setattr__(pair, "psi0", _freeze(psi0))
     object.__setattr__(pair, "psi1", _freeze(psi1))
     e0, e1 = (tuple(m.ravel().tolist()) for m in (psi0, psi1))
     object.__setattr__(pair, "entries", (e0, e1))
-    lam = (*_eig2(*e0), *_eig2(*e1)) if lam is None else lam
+    lam = (*_eig2(*e0), *_eig2(*e1))
     object.__setattr__(pair, "lam", tuple(float(x) for x in lam))
     object.__setattr__(pair, "_memo", {})
 
@@ -226,7 +227,7 @@ def compute_psi(stat: SufficientStatistic) -> PsiPair:
     psi0, psi1 = _psi_batch(stat.zp[None], stat.s[None])
     # psi1 is symmetrized and psi0 = psi1 + u u' / c, so both are exactly symmetric
     pair = object.__new__(PsiPair)
-    _fill_pair(pair, psi0[0], psi1[0], None)
+    _fill_pair(pair, psi0[0], psi1[0])
     return pair
 
 

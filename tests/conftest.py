@@ -43,11 +43,10 @@ def draw_task(cfg, start, count, seed):
     """``(Zp, S)`` of trials ``start .. start + count - 1``, drawn block by block."""
     job, maps = montecarlo._Job(cfg, [], start + count, seed), montecarlo._chunk_maps(cfg)
     rows = montecarlo._block_rows(cfg.n, cfg.k, count)
-    scratch = montecarlo._Scratch(rows, cfg.n, cfg.k)
     blocks = []
     for block in montecarlo._plan([count], rows):
         pieces = [p._replace(start=start + p.start, stop=start + p.stop) for p in block]
-        blocks.append([a.copy() for a in montecarlo._draw_batch([job], [maps], pieces, scratch)])
+        blocks.append(montecarlo._draw_batch([job], [maps], pieces))
     return tuple(np.concatenate(arrs) for arrs in zip(*blocks))
 
 

@@ -356,10 +356,10 @@ _COUNTS = {"n", "k", "trials"}
 
 def _bad_values(field):
     if field in _GRIDS:
-        return (5, "abc", ["x"], [None])
+        return (5, "abc", ["x"], [None], [True], ["0.5"])
     if field in _COUNTS:
         return ("abc", None, [1.0], 8.7, "8.5", "8", "50", True)
-    return ("abc", None, [1.0])
+    return ("abc", None, [1.0], True, "0.5")
 
 
 @pytest.mark.parametrize(
@@ -404,6 +404,15 @@ def test_non_finite_level_is_config_error(tmp_path, capsys, command, field, valu
     assert main([command, "--config", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {named} must be") and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_integer_past_float_range_is_config_error(tmp_path, capsys):
+    cfg = _write(tmp_path / "c.json", {**TestMisSample.CFG, "gamma": 10**400})
+    out = tmp_path / "x.out"
+    assert main(["mis-sample", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: gamma must be a number") and "Traceback" not in err
     assert not out.exists()
 
 

@@ -12,7 +12,6 @@ import pytest
 
 from persymdet import (
     DegenerateStatisticError,
-    PsiPair,
     SingularSecondaryError,
     ScenarioConfig,
     ancillarity_check,
@@ -25,7 +24,6 @@ from persymdet import (
     cfar_sweep,
     compute_psi,
     estimate_rate,
-    mis,
     mis_samples,
     roc_curve,
     sample_dataset,
@@ -107,10 +105,11 @@ class TestEngine:
         (-np.inf, -np.inf, -np.inf, 1.0),
     ])
     def test_one_lambda4_rule_on_both_paths(self, quad):
+        # the rule as mis applies it to a pair's floats, and on the engine's stack
         good = (4.0, 3.0, 2.0, 1.0)
-        assert mis(PsiPair(np.eye(2), np.eye(2), lam=good)).t1 == 4.0
-        with pytest.raises(DegenerateStatisticError, match="degenerate"):
-            mis(PsiPair(np.eye(2), np.eye(2), lam=quad))
+        rule = stats_module._degenerate_lambda4
+        assert not stats_module._any(rule(*good))
+        assert stats_module._any(rule(*(float(x) for x in quad)))
         assert montecarlo._mis_from_lam(np.array([good, good]))[1, 0] == 4.0
         with pytest.raises(DegenerateStatisticError, match="^trial 2: degenerate") as err:
             montecarlo._mis_from_lam(np.array([good, good, quad]))
@@ -227,7 +226,7 @@ class TestTraceEntryPoints:
         jobs = [montecarlo._Job(CFG, [], 5, 4), montecarlo._Job(CFG, [], 2, 5)]
         [pieces] = montecarlo._plan([5, 2], 7)
         models = [montecarlo._chunk_maps(CFG)] * 2
-        montecarlo._draw_batch(jobs, models, pieces, montecarlo._Scratch(7, CFG.n, CFG.k))
+        montecarlo._draw_batch(jobs, models, pieces)
         assert calls == [(4, j) for j in range(5)] + [(5, j) for j in range(2)]
         assert len(rekeyers) == 2
 
@@ -416,9 +415,9 @@ class TestTaskPlan:
         tasks = []
         real_run_chunk = montecarlo._run_chunk
 
-        def run_chunk(jobs, models, pieces, out, scratch):
+        def run_chunk(jobs, models, pieces, out):
             tasks.append((pieces, out))
-            return real_run_chunk(jobs, models, pieces, out, scratch)
+            return real_run_chunk(jobs, models, pieces, out)
 
         monkeypatch.setattr(montecarlo, "_run_chunk", run_chunk)
         names, sizes = ["glr", "rao"], (4095, 3, 4097)
@@ -518,8 +517,7 @@ class TestGrouping:
         job = montecarlo._Job(cfg, self.NAMES, index + 1, self.SEED)
         out = ({name: np.empty(1) for name in self.NAMES}, None)
         piece = montecarlo._Piece(0, index, index + 1, 0)
-        scratch = montecarlo._Scratch(1, cfg.n, cfg.k)
-        montecarlo._run_chunk([job], [montecarlo._chunk_maps(cfg)], (piece,), out, scratch)
+        montecarlo._run_chunk([job], [montecarlo._chunk_maps(cfg)], (piece,), out)
         zp, s = draw_task(cfg, index, 1, self.SEED)
         return zp[0], s[0], {name: out[0][name][0] for name in self.NAMES}
 
@@ -553,8 +551,8 @@ class TestGrouping:
         drawn = {}
         real_draw = montecarlo._draw_batch
 
-        def draw(jobs, models, pieces, scratch):
-            zp, s = real_draw(jobs, models, pieces, scratch)
+        def draw(jobs, models, pieces):
+            zp, s = real_draw(jobs, models, pieces)
             for p in pieces:
                 for i in set(self.INDICES).intersection(range(p.start, p.stop)):
                     row = p.row + i - p.start
@@ -578,6 +576,17 @@ class TestGrouping:
                     assert values[name][offsets[j] + i].tobytes() == ref[name].tobytes()
                 checked += 1
         assert checked == 26 + 2 + 3 + 4 + 12 + 19  # every index inside each target
+
+
+def test_block_keeps_its_draw_after_the_next_block():
+    # each draw block owns its buffers: the next block drawn on the same
+    # thread leaves the first block's (Zp, S) as they were
+    job, maps = montecarlo._Job(CFG, [], 14, 4), montecarlo._chunk_maps(CFG)
+    first, second = montecarlo._plan([14], 7)
+    zp, s = montecarlo._draw_batch([job], [maps], first)
+    kept = zp.tobytes(), s.tobytes()
+    montecarlo._draw_batch([job], [maps], second)
+    assert (zp.tobytes(), s.tobytes()) == kept
 
 
 def test_task_memory_does_not_grow_with_its_rows():
@@ -628,9 +637,9 @@ class TestSharedPool:
         t, lam = mis_samples(CFG, self.TRIALS, 6, workers=workers)
         assert np.array_equal(t, t1) and np.array_equal(lam, lam1)
 
-    def test_concurrent_calls_share_the_draw_lock_safely(self):
+    def test_concurrent_calls_equal_serial_calls(self):
         # two user threads, each on its own pool (more threads than cores),
-        # draw concurrently with frequent GIL switches
+        # draw concurrently with frequent GIL switches and get the serial results
         cases = [(CFG, 8), (ScenarioConfig(n=6, k=12, rho=0.9, gamma=2.0), 9)]
         serial = [statistic_samples(c, ["glr", "rao"], 9_000, s) for c, s in cases]
         barrier = threading.Barrier(len(cases))

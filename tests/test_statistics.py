@@ -195,6 +195,11 @@ class TestMis:
         with pytest.raises(DegenerateStatisticError, match="lambda"):
             mis(psis)
 
+    def test_nan_form_is_degenerate(self):
+        psis = PsiPair(psi0=np.eye(2), psi1=[[np.nan, 0.0], [0.0, 1.0]])
+        with pytest.raises(DegenerateStatisticError, match="lambda"):
+            mis(psis)
+
     def test_scale_invariance_of_mis(self, stat_factory):
         # scaling S alone rescales all four eigenvalues and cancels in t
         from persymdet import act_scale
