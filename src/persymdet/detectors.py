@@ -41,24 +41,26 @@ def _batch_values(name: str, psi0, psi1, k, n, index_base: int = 0, memo=None) -
     A thin array wrapper around :func:`_values`, the one formula body that
     the Monte Carlo engine and the scalar public API share. ``index_base``
     offsets instance numbers in error messages (trial indices in long runs).
-    ``memo`` is a dict that GLR, Rao and Wald share their prelude through,
-    one per ``(psi0, psi1)`` stack, as :class:`PsiPair` keeps one per pair.
+    ``memo`` is the prelude cache of :func:`_values` for this
+    ``(psi0, psi1)`` stack, as :class:`PsiPair` keeps one per pair: the
+    engine passes one per block, and None gives a fresh one.
     """
     psi0 = np.asarray(psi0, dtype=float)
     psi1 = np.asarray(psi1, dtype=float)
     e0 = (psi0[..., 0, 0], psi0[..., 0, 1], psi0[..., 1, 0], psi0[..., 1, 1])
     e1 = (psi1[..., 0, 0], psi1[..., 0, 1], psi1[..., 1, 0], psi1[..., 1, 1])
-    pre = None if memo is None else _shared_prelude(name, memo, e0, e1, k, n, index_base)
-    return _values(name, e0, e1, k, n, index_base, pre)
+    return _values(name, e0, e1, k, n, {} if memo is None else memo, index_base)
 
 
-def _values(name: str, e0, e1, k, n, index_base: int = 0, pre=None):
+def _values(name: str, e0, e1, k, n, memo: dict, index_base: int = 0):
     """Detector ``name`` from the entries ``(a, b, c, d)`` of psi0 and psi1.
 
     One body on stacked arrays or Python floats: it uses only operators and
     NumPy ufuncs, with squares written as products, so both round alike.
-    Every check runs before the division it guards. ``pre`` is the
-    :func:`_prelude` of the same entries, when the caller already has it.
+    Every check runs before the division it guards. GLR, Rao and Wald take
+    the :func:`_prelude` of the same entries from ``memo[(k, n)]``, or
+    compute it and store it there, so the first of them to run on a pair
+    of forms raises its trace error.
     """
     if name == NEGATIVE_CONTROL:
         return e0[0] + e0[3]
@@ -66,8 +68,9 @@ def _values(name: str, e0, e1, k, n, index_base: int = 0, pre=None):
         tr1 = e1[0] + e1[3]
         _check_positive(((tr1, "psi1"),), index_base)
         return (e0[0] + e0[3]) / tr1
+    pre = memo.get((k, n))
     if pre is None:
-        pre = _prelude(e0, e1, k, n, index_base)
+        pre = memo[k, n] = _prelude(e0, e1, k, n, index_base)
     e0, e1, tr0, det0, tr1, det1, g0, g1 = pre
     if name == _WALD:
         return g1 * (tr0 - tr1)
@@ -134,24 +137,9 @@ def _prelude(e0, e1, k, n, index_base: int = 0) -> tuple:
     return e0, e1, tr0, det0, tr1, det1, g0, g1
 
 
-def _shared_prelude(name: str, memo: dict, e0, e1, k, n, index_base: int = 0):
-    """The :func:`_prelude` of ``name``, kept in ``memo`` per ``(k, n)``.
-
-    GLR, Rao and Wald share it, so the first of them to run on a pair of
-    forms computes it (and raises its trace error); None for the others.
-    """
-    if name not in (_GLR, _RAO, _WALD):
-        return None
-    pre = memo.get((k, n))
-    if pre is None:
-        pre = memo[k, n] = _prelude(e0, e1, k, n, index_base)
-    return pre
-
-
 def _scalar(name: str, psis: PsiPair, k, n) -> float:
     """One statistic of ``psis``; GLR, Rao and Wald reuse its prelude per ``(k, n)``."""
-    pre = _shared_prelude(name, psis._memo, *psis.entries, k, n)
-    return float(_values(name, *psis.entries, k, n, pre=pre))
+    return float(_values(name, *psis.entries, k, n, psis._memo))
 
 
 def glr(psis: PsiPair, k: int, n: int) -> float:
@@ -210,4 +198,4 @@ def mis_form(kind, t, k: int, n: int) -> float:
         t = (t.t1, t.t2, t.t3)
     t1, t2, t3 = (float(x) for x in t)
     e0, e1 = _representative(t1, t2, t3)
-    return float(_values(name, e0, e1, k, n))
+    return float(_values(name, e0, e1, k, n, {}))

@@ -22,9 +22,11 @@ or an ancillarity check), in order, and cuts them once, into draw blocks of
 on the sample sizes and N and K. Each block is one task on a thread pool of
 ``workers`` threads: it is filled with one rekeyer, each piece mapped from
 its own sample's streams and maps, its scatters formed once for the whole
-block, then solved for psi and evaluated for each statistic (GLR, Rao and
-Wald share one prelude per block), and its rows go straight into the call's
-outputs, which hold all trials in plan order. A block shares no state with
+block, then solved for psi and evaluated straight into its rows of the
+call's outputs, which hold all trials in plan order. A sample is only its
+config, size and seed; the call names its statistics (GLR, Rao and Wald
+share one prelude per block) and whether it wants the eigenvalue
+quadruples once, for all its samples. A block shares no state with
 any other, so the workers fill theirs concurrently for any N and K: the
 per-trial rekey holds the GIL, but the normal fill, most of a draw,
 releases it. Each block allocates its own buffers, ``_BLOCK_BYTES`` at
@@ -147,10 +149,8 @@ class _Job(NamedTuple):
     """One sample of a public call: ``trials`` trials of ``cfg``."""
 
     cfg: scenario.ScenarioConfig
-    names: list
     trials: int
     master_seed: int
-    with_lam: bool = False
 
 
 class _Piece(NamedTuple):
@@ -242,75 +242,77 @@ def _draw_batch(jobs: Sequence[_Job], models: Sequence[_ChunkMaps], pieces):
     return zp.reshape(m, n, 2), s
 
 
-def _evaluate(zp, s, job: _Job, index_base: int):
-    """Detector values (and eigenvalue quadruples) of stacked ``(Zp, S)``."""
-    k, n = job.cfg.k, job.cfg.n
+def _evaluate(zp, s, k: int, n: int, out, index_base: int) -> None:
+    """Evaluate stacked ``(Zp, S)`` straight into ``out``, a ``(values, lam)`` of views.
+
+    Writes each statistic that ``values`` names, and the eigenvalue
+    quadruples when ``lam`` is not None.
+    """
+    values, lam = out
     psi0, psi1 = _psi_batch(zp, s, index_base=index_base)
     memo = {}  # GLR, Rao and Wald share one prelude per block
-    values = {
-        name: detectors._batch_values(name, psi0, psi1, k, n, index_base=index_base, memo=memo)
-        for name in job.names
-    }
-    lam = None
-    if job.with_lam:
+    for name, view in values.items():
+        view[:] = detectors._batch_values(name, psi0, psi1, k, n, index_base=index_base, memo=memo)
+    if lam is not None:
         l1, l2 = _eig2(*psi0.reshape(-1, 4).T)
         l3, l4 = _eig2(*psi1.reshape(-1, 4).T)
-        lam = np.stack([l1, l2, l3, l4], axis=-1)
-    return values, lam
+        lam[:] = np.stack([l1, l2, l3, l4], axis=-1)
+
+
+def _rows(out, rows: slice):
+    """The ``(values, lam)`` views of ``out`` over ``rows``."""
+    values, lam = out
+    return {name: arr[rows] for name, arr in values.items()}, None if lam is None else lam[rows]
 
 
 def _run_chunk(jobs: Sequence[_Job], models: Sequence[_ChunkMaps], pieces, out):
-    """One draw block: draw, map and evaluate it, then write its rows.
+    """One draw block: draw, map and evaluate it straight into ``out``.
 
     ``out`` is ``(values, lam)``: views of the call's outputs over the
     block's rows.
     """
-    values, lam = out
-    job = jobs[pieces[0].sample]
+    cfg = jobs[pieces[0].sample].cfg
     zp, s = _draw_batch(jobs, models, pieces)
     try:
-        block_values, block_lam = _evaluate(zp, s, job, pieces[0].start)
+        _evaluate(zp, s, cfg.k, cfg.n, out, pieces[0].start)
     except (DegenerateStatisticError, NearSingularDenominatorError):
         # a row of the block is not a trial index: the first failing piece
         # raises again on its own, naming the trial within its sample
         for p in pieces:
-            _evaluate(zp[p.rows], s[p.rows], job, p.start)
+            _evaluate(zp[p.rows], s[p.rows], cfg.k, cfg.n, _rows(out, p.rows), p.start)
         raise
-    for name, arr in block_values.items():
-        values[name][:] = arr
-    if lam is not None:
-        lam[:] = block_lam
 
 
-def _collect(jobs: Sequence[_Job], workers: int):
+def _collect(jobs: Sequence[_Job], workers: int, names: Sequence[str] = (), with_lam=False):
     """Run every trial of every job; returns ``(values, lam, offsets)``.
 
-    ``values`` maps each statistic to one array over all trials in job
-    order, ``lam`` holds their eigenvalue quadruples (or is None), and job
-    ``j`` owns rows ``offsets[j] .. offsets[j + 1] - 1``. The blocks of
-    :func:`_plan` share one pool of ``workers`` threads, and each writes its
-    rows straight into the outputs, whatever order the blocks finish in.
+    ``values`` maps each statistic of ``names`` to one array over all
+    trials in job order, ``lam`` holds their eigenvalue quadruples when
+    ``with_lam`` is set (None otherwise), and job ``j`` owns rows
+    ``offsets[j] .. offsets[j + 1] - 1``. Every job shares N and K. The
+    blocks of :func:`_plan` share one pool of ``workers`` threads, and each
+    writes its rows straight into the outputs, whatever order the blocks
+    finish in.
     """
+    if with_lam and jobs[0].cfg.n < 3:
+        raise DegenerateStatisticError(
+            "the maximal invariant needs N >= 3 (lambda4 vanishes for N = 2)"
+        )
     workers = _check_count(workers, "workers")
-    shared = {(job.cfg.n, job.cfg.k, tuple(job.names), job.with_lam) for job in jobs}
-    assert len(shared) == 1, "a call's samples share n, k, names and with_lam"
     models, sizes = [], []
     for job in jobs:
         sizes.append(_check_count(job.trials, "trials"))
         check_support(job.cfg.n, job.cfg.k)
         models.append(_chunk_maps(job.cfg))
     offsets = np.cumsum([0, *sizes])
-    values = {name: np.empty(offsets[-1]) for name in jobs[0].names}
-    lam = np.empty((offsets[-1], 4)) if jobs[0].with_lam else None
+    values = {name: np.empty(offsets[-1]) for name in names}
+    out = values, (np.empty((offsets[-1], 4)) if with_lam else None)
     n, k = jobs[0].cfg.n, jobs[0].cfg.k
     blocks = _plan(sizes, _block_rows(n, k, int(offsets[-1])))
 
     def work(pieces):
         first = offsets[pieces[0].sample] + pieces[0].start
-        span = slice(first, first + pieces[-1].rows.stop)
-        block_values = {name: arr[span] for name, arr in values.items()}
-        block_lam = None if lam is None else lam[span]
-        _run_chunk(jobs, models, pieces, (block_values, block_lam))
+        _run_chunk(jobs, models, pieces, _rows(out, slice(first, first + pieces[-1].rows.stop)))
 
     if workers > 1 and len(blocks) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -320,7 +322,7 @@ def _collect(jobs: Sequence[_Job], workers: int):
     else:
         for block in blocks:
             work(block)
-    return values, lam, offsets
+    return (*out, offsets)
 
 
 def statistic_samples(
@@ -331,7 +333,7 @@ def statistic_samples(
     workers: int = 1,
 ) -> dict:
     """Per-trial detector values, keyed by canonical statistic name."""
-    values, _, _ = _collect([_Job(cfg, _as_names(detector), trials, master_seed)], workers)
+    values, _, _ = _collect([_Job(cfg, trials, master_seed)], workers, _as_names(detector))
     return values
 
 
@@ -351,22 +353,17 @@ def mis_samples(
 
     Returns ``(t, lam)`` with shapes ``(trials, 3)`` and ``(trials, 4)``.
     """
-    _, lam, _ = _collect([_mis_job(cfg, trials, master_seed)], workers)
+    _, lam, _ = _collect([_Job(cfg, trials, master_seed)], workers, with_lam=True)
     return _mis_from_lam(lam), lam
 
 
-def _mis_job(cfg: scenario.ScenarioConfig, trials: int, master_seed: int) -> _Job:
-    if cfg.n < 3:
-        raise DegenerateStatisticError(
-            "the maximal invariant needs N >= 3 (lambda4 vanishes for N = 2)"
-        )
-    return _Job(cfg, [], trials, master_seed, with_lam=True)
-
-
 def _sample(values) -> np.ndarray:
+    """A nonempty 1-D sample with no NaN; infinite values are legal."""
     values = np.asarray(values)
     if values.ndim != 1 or values.size == 0:
         raise ValueError(f"expected a nonempty 1-D sample, got shape {values.shape}")
+    if np.isnan(values).any():
+        raise ValueError("the sample holds NaN values")
     return values
 
 
@@ -400,6 +397,8 @@ def estimate_rate(values, eta: float) -> EstimateWithCI:
     Estimates Pfa on an H0 sample and Pd on an H1 sample.
     """
     values = _sample(values)
+    if math.isnan(eta):
+        raise ValueError("eta must not be NaN")
     return _estimate(int(np.count_nonzero(values >= eta)), values.shape[0])
 
 
@@ -466,16 +465,16 @@ def cfar_sweep(
 
     # job 0 calibrates; the reference cell reuses its sample
     ref_cfg = replace(base, gamma=1.0, rho=rho_grid[0])
-    jobs = [_Job(ref_cfg, names, n_cal, derive_seed(seed, 0))]
+    jobs = [_Job(ref_cfg, n_cal, derive_seed(seed, 0))]
     grid = list(product(gamma_grid, rho_grid))
     cell_jobs = []
     for idx, (g, r) in enumerate(grid):
         reference = g == 1.0 and r == rho_grid[0]
         if not reference:
             cfg = replace(base, gamma=g, rho=r)
-            jobs.append(_Job(cfg, names, trials, derive_seed(seed, 1 + idx)))
+            jobs.append(_Job(cfg, trials, derive_seed(seed, 1 + idx)))
         cell_jobs.append(0 if reference else len(jobs) - 1)
-    values, _, offsets = _collect(jobs, workers)
+    values, _, offsets = _collect(jobs, workers, names)
 
     # one frozen estimate and verdict per distinct (count, trials), shared by its cells
     verdicts, thresholds, cells = {}, {}, []
@@ -528,10 +527,10 @@ def ancillarity_check(
     if component not in (1, 2, 3):
         raise ValueError("component must be 1, 2 or 3")
     jobs = [
-        _mis_job(scenario_h0, n_samples, derive_seed(seed, 0)),
-        _mis_job(scenario_h1, n_samples, derive_seed(seed, 1)),
+        _Job(scenario_h0, n_samples, derive_seed(seed, 0)),
+        _Job(scenario_h1, n_samples, derive_seed(seed, 1)),
     ]
-    _, lam, offsets = _collect(jobs, workers)
+    _, lam, offsets = _collect(jobs, workers, with_lam=True)
     a = _mis_from_lam(lam[: offsets[1]])[:, component - 1]
     b = _mis_from_lam(lam[offsets[1] :])[:, component - 1]
     from scipy.stats import ks_2samp  # deferred: scipy.stats is slow to import
@@ -572,11 +571,8 @@ def roc_curve(
     trials = _check_count(trials, "trials")
     h0 = scenario.as_hypothesis(base_scenario, "H0")
     h1 = scenario.as_hypothesis(base_scenario, "H1", sinr_db=float(sinr_db))
-    jobs = [
-        _Job(h0, [name], trials, derive_seed(seed, 0)),
-        _Job(h1, [name], trials, derive_seed(seed, 1)),
-    ]
-    values, _, offsets = _collect(jobs, workers)
+    jobs = [_Job(h0, trials, derive_seed(seed, 0)), _Job(h1, trials, derive_seed(seed, 1))]
+    values, _, offsets = _collect(jobs, workers, [name])
     v0, v1 = np.sort(values[name][: offsets[1]]), values[name][offsets[1] :]
     points = [
         RocPoint(p, estimate_rate(v1, _order_statistic_threshold(v0, p))) for p in sorted(pfas)

@@ -163,7 +163,6 @@ class Dataset:
 
 class _Model(NamedTuple):
     steering: SteeringVector
-    covariance: PersymmetricCovariance
     transform: CanonicalTransform
     chol: np.ndarray
     alpha: complex
@@ -185,7 +184,7 @@ def _prepare(cfg: ScenarioConfig) -> _Model:
         alpha = cfg.alpha
     else:
         alpha = alpha_for_sinr(cfg.sinr_db, 0.0, sv, cov)
-    return _Model(sv, cov, xf, chol, complex(alpha))
+    return _Model(sv, xf, chol, complex(alpha))
 
 
 def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:

@@ -164,6 +164,8 @@ class PsiPair:
         psi1 = np.array(self.psi1, dtype=float)
         if psi0.shape != (2, 2) or psi1.shape != (2, 2):
             raise DimensionError("psi0 and psi1 must be 2x2")
+        if not (np.isfinite(psi0).all() and np.isfinite(psi1).all()):
+            raise ValueError("psi0 and psi1 contain non-finite entries")
         _fill_pair(self, _hermitian_part(psi0), _hermitian_part(psi1))
 
 

@@ -41,7 +41,7 @@ def make_statistic(seed, n=8, k=16, variant=None):
 
 def draw_task(cfg, start, count, seed):
     """``(Zp, S)`` of trials ``start .. start + count - 1``, drawn block by block."""
-    job, maps = montecarlo._Job(cfg, [], start + count, seed), montecarlo._chunk_maps(cfg)
+    job, maps = montecarlo._Job(cfg, start + count, seed), montecarlo._chunk_maps(cfg)
     rows = montecarlo._block_rows(cfg.n, cfg.k, count)
     blocks = []
     for block in montecarlo._plan([count], rows):

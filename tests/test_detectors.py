@@ -310,7 +310,7 @@ class TestScalarEqualsBatched:
                 psis = compute_psi(stat)
                 for name, k, n in calls[shift:] + calls[:shift] + calls[::-1]:
                     got = SCALAR[name](psis, k, n)
-                    assert got == float(detectors._values(name, *psis.entries, k, n))
+                    assert got == float(detectors._values(name, *psis.entries, k, n, {}))
                     assert got == batched[name, k, n][i], (name, k, n, i)
 
     def test_order_exact_when_rank_one_term_vanishes(self):

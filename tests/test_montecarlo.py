@@ -94,6 +94,20 @@ class TestEngine:
         with pytest.raises(DegenerateStatisticError):
             mis_samples(ScenarioConfig(n=2, k=8), 10, 0)
 
+    def test_three_channel_error_comes_before_any_draw(self, monkeypatch):
+        # N = 2 is rejected before any block is drawn, and before workers is read
+        draws = []
+        real_draw = montecarlo._draw_batch
+        monkeypatch.setattr(montecarlo, "_draw_batch",
+                            lambda *args: draws.append(args) or real_draw(*args))
+        h0 = ScenarioConfig(n=2, k=8)
+        h1 = as_hypothesis(h0, "H1", sinr_db=10.0)
+        with pytest.raises(DegenerateStatisticError, match="N >= 3"):
+            mis_samples(h0, 10, 0, workers=0)
+        with pytest.raises(DegenerateStatisticError, match="N >= 3"):
+            ancillarity_check(h0, h1, 10, seed=0, workers=0)
+        assert draws == []
+
     @pytest.mark.parametrize("quad", [
         (4.0, 3.0, 2.0, 0.0),
         (4.0, 3.0, 2.0, 1e-13),
@@ -223,7 +237,7 @@ class TestTraceEntryPoints:
         assert calls == [(seed, start + j) for j in range(count)]
         assert len(rekeyers) == 1
         calls.clear()
-        jobs = [montecarlo._Job(CFG, [], 5, 4), montecarlo._Job(CFG, [], 2, 5)]
+        jobs = [montecarlo._Job(CFG, 5, 4), montecarlo._Job(CFG, 2, 5)]
         [pieces] = montecarlo._plan([5, 2], 7)
         models = [montecarlo._chunk_maps(CFG)] * 2
         montecarlo._draw_batch(jobs, models, pieces)
@@ -421,8 +435,8 @@ class TestTaskPlan:
 
         monkeypatch.setattr(montecarlo, "_run_chunk", run_chunk)
         names, sizes = ["glr", "rao"], (4095, 3, 4097)
-        jobs = [montecarlo._Job(CFG, names, n, 30 + j, True) for j, n in enumerate(sizes)]
-        values, lam, offsets = montecarlo._collect(jobs, workers=2)
+        jobs = [montecarlo._Job(CFG, n, 30 + j) for j, n in enumerate(sizes)]
+        values, lam, offsets = montecarlo._collect(jobs, 2, names, with_lam=True)
         assert offsets.tolist() == [0, 4095, 4098, 8195]
         plan = montecarlo._plan(sizes, self.ROWS)
         assert sorted(p for p, _ in tasks) == plan and max(map(len, plan)) == 3
@@ -484,6 +498,23 @@ class TestTaskPlan:
         with pytest.raises(DegenerateStatisticError, match=r"^trial 1: scatter block S22"):
             cfar_sweep("glr", CFG, [0.5, 1.0], [0.0], 0.05, 3, 9)
 
+    def test_error_names_trial_within_its_own_sample_with_lam(self, monkeypatch):
+        # the same on the eigenvalue path: one block holds both hypotheses of
+        # an ancillarity check, and trial 1 of H1, row 4, has a singular S22
+        real_draw = montecarlo._draw_batch
+
+        def draw(*args):
+            zp, s = real_draw(*args)
+            s[4, 1:, 1:] = 0.0
+            return zp, s
+
+        monkeypatch.setattr(montecarlo, "_draw_batch", draw)
+        rows = montecarlo._block_rows(CFG.n, CFG.k, 6)
+        assert [len(t) for t in montecarlo._plan([3, 3], rows)] == [2]
+        h1 = as_hypothesis(CFG, "H1", sinr_db=10.0)
+        with pytest.raises(DegenerateStatisticError, match=r"^trial 1: scatter block S22"):
+            ancillarity_check(CFG, h1, 3, seed=9)
+
 
 class TestGrouping:
     """A trial's ``(zp, s)`` and values do not depend on how trials are grouped.
@@ -514,7 +545,7 @@ class TestGrouping:
                299, 605, 606, 962, 963, 4063, 4064, 4094)
 
     def _alone(self, cfg, index):
-        job = montecarlo._Job(cfg, self.NAMES, index + 1, self.SEED)
+        job = montecarlo._Job(cfg, index + 1, self.SEED)
         out = ({name: np.empty(1) for name in self.NAMES}, None)
         piece = montecarlo._Piece(0, index, index + 1, 0)
         montecarlo._run_chunk([job], [montecarlo._chunk_maps(cfg)], (piece,), out)
@@ -561,11 +592,10 @@ class TestGrouping:
 
         monkeypatch.setattr(montecarlo, "_draw_batch", draw)
         jobs = [
-            montecarlo._Job(cfg, self.NAMES, size, self.SEED if j in self.TARGETS
-                            else self.FILLER_SEED)
+            montecarlo._Job(cfg, size, self.SEED if j in self.TARGETS else self.FILLER_SEED)
             for j, size in enumerate(self.SIZES)
         ]
-        values, _, offsets = montecarlo._collect(jobs, workers)
+        values, _, offsets = montecarlo._collect(jobs, workers, self.NAMES)
         checked = 0
         for j in self.TARGETS:
             for i in (i for i in self.INDICES if i < self.SIZES[j]):
@@ -581,7 +611,7 @@ class TestGrouping:
 def test_block_keeps_its_draw_after_the_next_block():
     # each draw block owns its buffers: the next block drawn on the same
     # thread leaves the first block's (Zp, S) as they were
-    job, maps = montecarlo._Job(CFG, [], 14, 4), montecarlo._chunk_maps(CFG)
+    job, maps = montecarlo._Job(CFG, 14, 4), montecarlo._chunk_maps(CFG)
     first, second = montecarlo._plan([14], 7)
     zp, s = montecarlo._draw_batch([job], [maps], first)
     kept = zp.tobytes(), s.tobytes()
@@ -771,11 +801,29 @@ def test_malformed_sample_rejected(values):
         estimate_rate(values, 0.0)
 
 
+def test_nan_sample_rejected():
+    # a NaN would sort past every value and count as no exceedance
+    values = np.append(np.random.default_rng(0).standard_normal(1000), [np.nan] * 20)
+    with pytest.raises(ValueError, match="NaN"):
+        calibrate_threshold(values, 0.01)
+    with pytest.raises(ValueError, match="NaN"):
+        estimate_rate(values, 2.0)
+    with pytest.raises(ValueError, match="NaN"):
+        estimate_rate(values[:1000], np.nan)
+
+
 class TestEstimateRate:
     def test_infinite_thresholds(self):
         values = statistic_samples(CFG, "glr", 500, 1)["glr"]
         assert estimate_rate(values, -np.inf).point == 1.0
         assert estimate_rate(values, np.inf).point == 0.0
+
+    def test_infinite_values_are_legal(self):
+        values = np.array([-np.inf, 0.0, np.inf])
+        assert estimate_rate(values, 0.0).point == 2.0 / 3.0
+        assert estimate_rate(values, np.inf).point == 1.0 / 3.0
+        with pytest.warns(UserWarning, match="rule of thumb"):
+            assert calibrate_threshold(values, 0.5) == 0.0
 
 
 class TestCfarSweep:

@@ -195,10 +195,14 @@ class TestMis:
         with pytest.raises(DegenerateStatisticError, match="lambda"):
             mis(psis)
 
-    def test_nan_form_is_degenerate(self):
-        psis = PsiPair(psi0=np.eye(2), psi1=[[np.nan, 0.0], [0.0, 1.0]])
-        with pytest.raises(DegenerateStatisticError, match="lambda"):
-            mis(psis)
+    def test_non_finite_form_is_rejected(self):
+        # a pair with a NaN or infinite entry never reaches mis or a detector;
+        # mis's NaN rule is covered on floats by the engine's lambda4 test
+        for bad in (np.nan, np.inf, -np.inf):
+            form = [[1.0, 0.0], [0.0, bad]]
+            for psi0, psi1 in ((form, np.eye(2)), (np.eye(2), form)):
+                with pytest.raises(ValueError, match="non-finite"):
+                    PsiPair(psi0=psi0, psi1=psi1)
 
     def test_scale_invariance_of_mis(self, stat_factory):
         # scaling S alone rescales all four eigenvalues and cancels in t
