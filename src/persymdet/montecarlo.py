@@ -37,7 +37,7 @@ block's buffers at a time.
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from typing import NamedTuple, Optional, Sequence, Union
@@ -287,8 +287,9 @@ def _collect(jobs: Sequence[_Job], workers: int, names: Sequence[str] = (), with
     """Run every trial of every job; returns ``(values, lam, offsets)``.
 
     ``values`` maps each statistic of ``names`` to one array over all
-    trials in job order, ``lam`` holds their eigenvalue quadruples when
-    ``with_lam`` is set (None otherwise), and job ``j`` owns rows
+    trials in job order; the arrays are the rows of one (statistics x
+    trials) table, ``values[name].base``. ``lam`` holds their eigenvalue
+    quadruples when ``with_lam`` is set (None otherwise), and job ``j`` owns rows
     ``offsets[j] .. offsets[j + 1] - 1``. Every job shares N and K. The
     blocks of :func:`_plan` share one pool of ``workers`` threads, and each
     writes its rows straight into the outputs, whatever order the blocks
@@ -305,7 +306,8 @@ def _collect(jobs: Sequence[_Job], workers: int, names: Sequence[str] = (), with
         check_support(job.cfg.n, job.cfg.k)
         models.append(_chunk_maps(job.cfg))
     offsets = np.cumsum([0, *sizes])
-    values = {name: np.empty(offsets[-1]) for name in names}
+    names = list(dict.fromkeys(names))
+    values = dict(zip(names, np.empty((len(names), offsets[-1]))))
     out = values, (np.empty((offsets[-1], 4)) if with_lam else None)
     n, k = jobs[0].cfg.n, jobs[0].cfg.k
     blocks = _plan(sizes, _block_rows(n, k, int(offsets[-1])))
@@ -367,10 +369,13 @@ def _sample(values) -> np.ndarray:
     return values
 
 
-def _order_statistic_threshold(sorted_values: np.ndarray, target_pfa: float) -> float:
-    """The ``ceil((1 - pfa) * trials)``-th order statistic; ``-inf`` at rank 0."""
-    rank = math.ceil((1.0 - target_pfa) * sorted_values.shape[0])
-    return float(sorted_values[rank - 1]) if rank > 0 else -np.inf
+def _order_statistic_threshold(sorted_values: np.ndarray, target_pfa: float):
+    """The ``ceil((1 - pfa) * trials)``-th order statistic of each row of
+    samples sorted along the last axis; ``-inf`` at rank 0."""
+    rank = math.ceil((1.0 - target_pfa) * sorted_values.shape[-1])
+    if rank > 0:
+        return sorted_values[..., rank - 1]
+    return np.full(sorted_values.shape[:-1], -np.inf)
 
 
 def calibrate_threshold(values, target_pfa: float) -> float:
@@ -388,7 +393,7 @@ def calibrate_threshold(values, target_pfa: float) -> float:
             "the rule of thumb is trials >= 100 / Pfa",
             stacklevel=2,
         )
-    return _order_statistic_threshold(np.sort(values), target_pfa)
+    return float(_order_statistic_threshold(np.sort(values), target_pfa))
 
 
 def estimate_rate(values, eta: float) -> EstimateWithCI:
@@ -397,17 +402,21 @@ def estimate_rate(values, eta: float) -> EstimateWithCI:
     Estimates Pfa on an H0 sample and Pd on an H1 sample.
     """
     values = _sample(values)
+    return _estimate(_exceedances(values, eta), values.shape[0])
+
+
+def _exceedances(sample: np.ndarray, eta: float) -> int:
+    """How many values of a checked sample reach ``eta``; NaN ``eta`` raises."""
     if math.isnan(eta):
         raise ValueError("eta must not be NaN")
-    return _estimate(int(np.count_nonzero(values >= eta)), values.shape[0])
+    return int(np.count_nonzero(sample >= eta))
 
 
 def _estimate(count: int, trials: int) -> EstimateWithCI:
     return EstimateWithCI(count / trials, wilson_interval(count, trials), trials)
 
 
-@dataclass(frozen=True)
-class CfarCell:
+class CfarCell(NamedTuple):
     """One (detector, gamma, rho) cell of a CFAR sweep."""
 
     detector: str
@@ -461,29 +470,38 @@ def cfar_sweep(
     trials = _check_count(trials, "trials")
     n_cal = trials if calibration_trials is None else calibration_trials
     n_cal = _check_count(n_cal, "calibration_trials")
+    for r in dict.fromkeys(rho_grid):
+        scenario._check_rho(r)
+    for g in dict.fromkeys(gamma_grid):
+        scenario._check_gamma(g)
     base = scenario.as_hypothesis(base_scenario, "H0")
 
     # job 0 calibrates; the reference cell reuses its sample
-    ref_cfg = replace(base, gamma=1.0, rho=rho_grid[0])
+    ref_cfg = scenario._built_config(base, 1.0, rho_grid[0])
     jobs = [_Job(ref_cfg, n_cal, derive_seed(seed, 0))]
     grid = list(product(gamma_grid, rho_grid))
     cell_jobs = []
     for idx, (g, r) in enumerate(grid):
         reference = g == 1.0 and r == rho_grid[0]
         if not reference:
-            cfg = replace(base, gamma=g, rho=r)
+            cfg = scenario._built_config(base, g, r)
             jobs.append(_Job(cfg, trials, derive_seed(seed, 1 + idx)))
         cell_jobs.append(0 if reference else len(jobs) - 1)
     values, _, offsets = _collect(jobs, workers, names)
 
-    # one frozen estimate and verdict per distinct (count, trials), shared by its cells
-    verdicts, thresholds, cells = {}, {}, []
+    # every statistic at once: thresholds from its calibration columns, and
+    # each sample's exceedance count
+    table = values[names[0]].base
+    etas = _order_statistic_threshold(np.sort(table[:, : offsets[1]]), target_pfa)
+    exceed = np.add.reduceat(table >= etas[:, None], offsets[:-1], axis=1, dtype=np.intp)
+    thresholds = dict(zip(values, etas.tolist()))
+    counts = dict(zip(values, exceed.tolist()))
+
+    # one estimate and verdict per distinct (count, trials), shared by its cells
+    verdicts, cells = {}, []
     for name in names:
-        v = values[name]
-        eta = thresholds[name] = _order_statistic_threshold(np.sort(v[: offsets[1]]), target_pfa)
-        counts = np.add.reduceat(v >= eta, offsets[:-1], dtype=np.intp).tolist()
         for (g, r), job_idx in zip(grid, cell_jobs):
-            key = (counts[job_idx], jobs[job_idx].trials)
+            key = (counts[name][job_idx], jobs[job_idx].trials)
             if key not in verdicts:
                 est = _estimate(*key)
                 band = binomial_band(target_pfa, est.n)
@@ -573,9 +591,10 @@ def roc_curve(
     h1 = scenario.as_hypothesis(base_scenario, "H1", sinr_db=float(sinr_db))
     jobs = [_Job(h0, trials, derive_seed(seed, 0)), _Job(h1, trials, derive_seed(seed, 1))]
     values, _, offsets = _collect(jobs, workers, [name])
-    v0, v1 = np.sort(values[name][: offsets[1]]), values[name][offsets[1] :]
+    v0, v1 = np.sort(values[name][: offsets[1]]), _sample(values[name][offsets[1] :])
     points = [
-        RocPoint(p, estimate_rate(v1, _order_statistic_threshold(v0, p))) for p in sorted(pfas)
+        RocPoint(p, _estimate(_exceedances(v1, _order_statistic_threshold(v0, p)), trials))
+        for p in sorted(pfas)
     ]
     pds = [p.pd.point for p in points]
     if any(b < a for a, b in zip(pds, pds[1:])):

@@ -67,6 +67,18 @@ def _db_power(level_db: float, what: str) -> float:
     return power
 
 
+def _check_rho(rho: float) -> None:
+    """``ValueError`` unless the one-lag correlation ``rho`` lies in [0, 1)."""
+    if not 0.0 <= rho < 1.0:
+        raise ValueError(f"rho must be in [0, 1), not {rho!r}")
+
+
+def _check_gamma(gamma: float) -> None:
+    """``ValueError`` unless the secondary power ``gamma`` is positive and finite."""
+    if not 0.0 < gamma < math.inf:
+        raise ValueError(f"gamma must be positive and finite, not {gamma!r}")
+
+
 def steering(n: int, nu: float) -> SteeringVector:
     """Unit-norm persymmetric steering vector at normalized frequency ``nu``.
 
@@ -86,8 +98,7 @@ def covariance_model(
     ``sigma_c^2 = 10^(cnr_db/10)``; positive definite with smallest
     eigenvalue above the unit noise floor.
     """
-    if not 0.0 <= rho < 1.0:
-        raise ValueError(f"one-lag correlation must be in [0, 1), got {rho}")
+    _check_rho(rho)
     lags = np.arange(int(n))
     col = rho**lags * np.exp(2j * np.pi * doppler_fc * lags)
     # Hermitian Toeplitz: entry (i, j) is col[i - j] on and below the
@@ -126,14 +137,12 @@ class ScenarioConfig:
             raise ValueError("at least two channels are required")
         if self.k < 1:
             raise ValueError("at least one secondary snapshot is required")
-        if not 0.0 <= self.rho < 1.0:
-            raise ValueError("rho must be in [0, 1)")
+        _check_rho(self.rho)
         if not -0.5 <= self.doppler_fc < 0.5:
             raise ValueError("doppler_fc must be in [-0.5, 0.5)")
         if not -0.5 <= self.nu < 0.5:
             raise ValueError("nu must be in [-0.5, 0.5)")
-        if not 0.0 < self.gamma < math.inf:
-            raise ValueError(f"gamma must be positive and finite, not {self.gamma!r}")
+        _check_gamma(self.gamma)
         _db_power(self.cnr_db, "cnr_db")
         if self.hypothesis not in ("H0", "H1"):
             raise ValueError("hypothesis must be 'H0' or 'H1'")
@@ -149,6 +158,17 @@ class ScenarioConfig:
                 raise ValueError(f"alpha must be finite, not {self.alpha!r}")
         if has_sinr:
             _db_power(self.sinr_db, "sinr_db")
+
+
+def _built_config(cfg: ScenarioConfig, gamma: float, rho: float) -> ScenarioConfig:
+    """``replace(cfg, gamma=gamma, rho=rho)`` for values that passed
+    :func:`_check_gamma` and :func:`_check_rho`; skips the other checks,
+    which ``cfg`` already passed."""
+    built = object.__new__(ScenarioConfig)
+    fields = built.__dict__
+    fields.update(cfg.__dict__)
+    fields["gamma"], fields["rho"] = gamma, rho
+    return built
 
 
 @dataclass(frozen=True)
@@ -245,7 +265,12 @@ def alpha_for_sinr(sinr_db: float, phase: float, s, m0) -> complex:
 
 
 def as_hypothesis(cfg: ScenarioConfig, hypothesis: str, sinr_db: Optional[float] = None) -> ScenarioConfig:
-    """Copy of ``cfg`` with the hypothesis (and target strength) replaced."""
+    """Copy of ``cfg`` with the hypothesis (and target strength) replaced.
+
+    An H0 ``cfg`` asked for H0 is returned as it is.
+    """
     if hypothesis == "H0":
+        if cfg.hypothesis == "H0":
+            return cfg
         return replace(cfg, hypothesis="H0", alpha=None, sinr_db=None)
     return replace(cfg, hypothesis="H1", alpha=None, sinr_db=sinr_db)

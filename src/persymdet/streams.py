@@ -10,6 +10,9 @@ reproducible bit-for-bit regardless of chunking or worker count.
 import numpy as np
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
+_MASK32 = 0xFFFFFFFF
+# SeedSequence.generate_state's output hash constants
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 
 
 def derive_stream(master_seed: int, index: int) -> np.random.Generator:
@@ -52,11 +55,26 @@ def stream_rekeyer():
     return rekey
 
 
+def _words(value: int) -> list:
+    """The uint32 words ``SeedSequence`` forms from ``0 <= value < 2**64``, low first."""
+    return [value & _MASK32, value >> 32] if value >> 32 else [value]
+
+
 def derive_seed(master_seed: int, tag: int) -> int:
     """Fold ``(master_seed, tag)`` into a fresh 64-bit master seed.
 
     Used to hand disjoint seed spaces to sub-experiments (e.g. one per CFAR
-    grid cell) so their per-trial streams never collide.
+    grid cell) so their per-trial streams never collide. The value is
+    ``SeedSequence([master_seed & M64, tag & M64]).generate_state(1, uint64)``
+    (pinned by tests): ``SeedSequence`` mixes the entropy, given as the uint32
+    words it would form itself, and the output hash of ``generate_state`` is
+    applied here to the first two pool words, in Python ints.
     """
-    ss = np.random.SeedSequence([master_seed & _MASK64, tag & _MASK64])
-    return int(ss.generate_state(1, np.uint64)[0])
+    entropy = np.array(_words(master_seed & _MASK64) + _words(tag & _MASK64), dtype=np.uint32)
+    seed, const = 0, _INIT_B
+    for shift, word in zip((0, 32), np.random.SeedSequence(entropy).pool[:2].tolist()):
+        word ^= const
+        const = const * _MULT_B & _MASK32
+        word = word * const & _MASK32
+        seed |= (word ^ word >> 16) << shift
+    return seed

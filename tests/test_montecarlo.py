@@ -440,6 +440,10 @@ class TestTaskPlan:
         assert offsets.tolist() == [0, 4095, 4098, 8195]
         plan = montecarlo._plan(sizes, self.ROWS)
         assert sorted(p for p, _ in tasks) == plan and max(map(len, plan)) == 3
+        # the statistics are the rows of one shared table
+        table = values[names[0]].base
+        assert table.shape == (len(names), offsets[-1])
+        assert all(values[name].base is table for name in names)
         for pieces, (task_values, task_lam) in tasks:
             first = offsets[pieces[0].sample] + pieces[0].start
             assert first % self.ROWS == 0
@@ -447,7 +451,7 @@ class TestTaskPlan:
             assert (task_lam.ctypes.data - lam.ctypes.data) // lam.strides[0] == first
             for name in names:
                 view = task_values[name]
-                assert view.base is values[name] and len(view) == len(task_lam)
+                assert view.base is table and len(view) == len(task_lam)
                 assert (view.ctypes.data - values[name].ctypes.data) // 8 == first
         # sample 0 ends inside a block that holds all of sample 1
         alone = statistic_samples(CFG, names, sizes[0], 30)
@@ -854,6 +858,50 @@ class TestCfarSweep:
         with pytest.raises(ValueError):
             cfar_sweep("glr", CFG, [], [0.0], 0.05, 100, seed=0)
 
+    @pytest.mark.parametrize("gammas, rhos, field", [
+        ([0.0], [0.0], "gamma"),
+        ([-1.0], [0.0], "gamma"),
+        ([np.inf], [0.0], "gamma"),
+        ([np.nan], [0.0], "gamma"),
+        ([1.0], [-0.1], "rho"),
+        ([1.0], [1.0], "rho"),
+        ([1.0], [np.nan], "rho"),
+        ([0.5, 1.0, np.nan], [0.0, 0.9], "gamma"),  # after valid values
+        ([0.5, 1.0], [0.0, 0.9, 1.0], "rho"),
+    ])
+    def test_invalid_grid_rejected_before_any_draw(self, monkeypatch, gammas, rhos, field):
+        def collect(*args, **kwargs):
+            raise AssertionError("a sample was drawn")
+
+        monkeypatch.setattr(montecarlo, "_collect", collect)
+        with pytest.raises(ValueError, match=field):
+            cfar_sweep("glr", CFG, gammas, rhos, 0.05, 10, seed=0)
+
+    def test_cell_configs_are_the_validated_copies(self, monkeypatch):
+        # each cell's config equals, and hashes like, the one replace()
+        # builds, so the per-config caches hit as before
+        seen = []
+        real_collect = montecarlo._collect
+        monkeypatch.setattr(montecarlo, "_collect",
+                            lambda jobs, *args: seen.append(jobs) or real_collect(jobs, *args))
+        base = ScenarioConfig(n=8, k=16, rho=0.5, cnr_db=5, nu=0.1, gamma=3, seed=9,
+                              hypothesis="H1", sinr_db=10.0)
+        gammas, rhos = [0.5, 1.0, 2], [0.0, 0.9]
+        cfar_sweep("glr", base, gammas, rhos, 0.1, 5, seed=1)
+        h0 = as_hypothesis(base, "H0")
+        expected = [replace(h0, gamma=1.0, rho=0.0)] + [
+            replace(h0, gamma=float(g), rho=r)
+            for g in gammas for r in rhos if (g, r) != (1.0, 0.0)
+        ]
+        (jobs,) = seen
+        cfgs = [job.cfg for job in jobs]
+        assert cfgs == expected and all(type(c) is ScenarioConfig for c in cfgs)
+        assert [hash(c) for c in cfgs] == [hash(c) for c in expected]
+        misses = montecarlo._chunk_maps.cache_info().misses
+        for cfg in expected:
+            montecarlo._chunk_maps(cfg)
+        assert montecarlo._chunk_maps.cache_info().misses == misses
+
     def test_cfar_at_extreme_secondary_power(self):
         # psi scales like 1 / gamma: products of raw psi entries over- or
         # underflow here, so GLR, Rao and Wald must see unit-trace forms
@@ -981,3 +1029,15 @@ class TestRoc:
     def test_invalid_pfa_grid(self):
         with pytest.raises(ValueError):
             roc_curve("glr", CFG, 5.0, [0.0, 0.1], 100, seed=0)
+
+    @pytest.mark.parametrize("nan_sample", [0, 1], ids=["H0", "H1"])
+    def test_nan_sample_rejected(self, monkeypatch, nan_sample):
+        # as estimate_rate rejects a NaN H1 sample or a NaN threshold
+        def collect(jobs, workers, names):
+            values = np.arange(20.0)
+            values[10 * nan_sample : 10 * nan_sample + 10] = np.nan
+            return {names[0]: values}, None, np.array([0, 10, 20])
+
+        monkeypatch.setattr(montecarlo, "_collect", collect)
+        with pytest.raises(ValueError, match="NaN"):
+            roc_curve("glr", CFG, 5.0, [0.5], 10, seed=0)

@@ -130,6 +130,7 @@ class TestScenarioConfig:
         h1 = as_hypothesis(base, "H1", sinr_db=12.0)
         assert h1.hypothesis == "H1" and h1.sinr_db == 12.0 and h1.rho == 0.4
         assert as_hypothesis(h1, "H0").alpha is None
+        assert as_hypothesis(base, "H0") is base  # an H0 config is already H0
 
 
 class TestSampleDataset:

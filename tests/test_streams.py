@@ -10,11 +10,39 @@ from persymdet import (
     sample_dataset,
     steering,
 )
-from persymdet.streams import derive_stream, stream_rekeyer
+from persymdet.streams import derive_seed, derive_stream, stream_rekeyer
 
 from conftest import draw_task
 
 KEYS = [(7, 0), (7, 123_456_789_012), (7, 2**64 - 1), (-5, 3), (-(2**63), 2**40)]
+M64 = 2**64 - 1
+# one and two uint32 words, the 64-bit edge, negatives and values past 64 bits
+SEED_EDGES = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, -1, -5, -(2**63), -(2**64) - 7, 2**64,
+              2**64 + 2**32, 3 * 2**70 + 5]
+
+
+def _seed_sequence_seed(master_seed, tag):
+    seq = np.random.SeedSequence([master_seed & M64, tag & M64])
+    return int(seq.generate_state(1, np.uint64)[0])
+
+
+class TestDeriveSeed:
+    @pytest.mark.parametrize("master_seed", SEED_EDGES)
+    def test_edges_match_seed_sequence(self, master_seed):
+        for tag in SEED_EDGES:
+            assert derive_seed(master_seed, tag) == _seed_sequence_seed(master_seed, tag)
+
+    def test_random_pairs_match_seed_sequence(self):
+        rng = np.random.default_rng(2026)
+        # random bit lengths, so that pairs of one and two words both occur
+        words = rng.integers(0, 2**64, size=(1000, 2), dtype=np.uint64)
+        shifts = rng.integers(0, 64, size=(1000, 2)).astype(np.uint64)
+        for master_seed, tag in (words >> shifts).tolist():
+            assert derive_seed(master_seed, tag) == _seed_sequence_seed(master_seed, tag)
+
+    def test_is_a_64_bit_python_int(self):
+        seed = derive_seed(7, 3)
+        assert type(seed) is int and 0 <= seed <= M64
 
 
 class TestRekeyer:
