@@ -27,16 +27,24 @@ call's outputs, which hold all trials in plan order. A sample is only its
 config, size and seed; the call names its statistics (GLR, Rao and Wald
 share one prelude per block) and whether it wants the eigenvalue
 quadruples once, for all its samples. A block shares no state with
-any other, so the workers fill theirs concurrently for any N and K: the
-per-trial rekey holds the GIL, but the normal fill, most of a draw,
-releases it. Each block allocates its own buffers, ``_BLOCK_BYTES`` at
-most, and drops them once its rows are written, so a worker holds one
-block's buffers at a time.
+any other, and the workers map, solve and evaluate theirs concurrently.
+A trial's draw is a Python rekey, which holds the GIL, then a normal
+fill, which releases it. When a trial draws fewer than
+``_GIL_BOUND_NORMALS`` normals the fill is too short to pay for that
+release: two workers filling at once would hand the GIL to each other
+once per trial. So a GIL-bound block (N = 8, K = 16 draws 272) fills all
+of its rows under one hold of ``_FILL_LOCK`` while the other workers run
+their GIL-free products, solves and detectors; a longer fill (N = 32,
+K = 64 draws 4160) runs concurrently. Each block allocates its own
+buffers, ``_BLOCK_BYTES`` at most, and drops them once its rows are
+written, so a worker holds one block's buffers at a time.
 """
 
 import math
+import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -53,6 +61,10 @@ from .streams import derive_seed, stream_rekeyer
 
 # Bytes of one draw block's buffers (4 MB), all a worker holds at a time; see _block_rows.
 _BLOCK_BYTES = 1 << 22
+# Blocks whose trials draw fewer normals than this, 2N(K+1), are bound by the
+# GIL and fill one at a time (N = 12, K = 24 draws 600; N = 16, K = 32 1056).
+_GIL_BOUND_NORMALS = 1024
+_FILL_LOCK = threading.Lock()
 _Z95 = 1.959963984540054
 _BAND_SIGMAS = 3.0
 
@@ -206,29 +218,33 @@ def _draw_batch(jobs: Sequence[_Job], models: Sequence[_ChunkMaps], pieces):
 
     The block allocates its own buffers, sized by its rows. One rekeyer
     fills its normals, each trial's stream read in the order of
-    :func:`scenario.sample_dataset`, and each piece is mapped with its own
-    sample's maps as soon as it is filled, through ``out=`` into the block's
-    buffers: its two secondary GEMMs and its primaries. The two secondary
-    halves are summed and each trial's S formed once over the whole block,
-    after the piece loop, as neither needs a sample's maps. Every product is
-    per trial (a trial's primaries are one vector-matrix product, its S one
-    matrix product), so no value depends on the block or the other trials
-    in it. Returns ``zp`` ``(rows, N, 2)`` and ``s`` ``(rows, N, N)``, owned
-    by the caller.
+    :func:`scenario.sample_dataset`; a GIL-bound block (fewer than
+    ``_GIL_BOUND_NORMALS`` normals a trial) fills every piece under one
+    hold of ``_FILL_LOCK``. Then each piece is mapped with its own sample's
+    maps, outside the lock, through ``out=`` into the block's buffers: its
+    two secondary GEMMs and its primaries. The two secondary halves are
+    summed and each trial's S formed once over the whole block, as neither
+    needs a sample's maps. Every product is per trial (a trial's primaries
+    are one vector-matrix product, its S one matrix product), so no value
+    depends on the block or the other trials in it. Returns ``zp``
+    ``(rows, N, 2)`` and ``s`` ``(rows, N, N)``, owned by the caller.
     Tests pin them to ``assemble(canonicalize(sample_dataset(...)))``.
     """
     cfg = jobs[pieces[0].sample].cfg
     n, k = cfg.n, cfg.k
-    kn, m = k * n, pieces[-1].rows.stop
-    buf = np.empty((m, 2 * n * (k + 1)))
+    kn, m, width = k * n, pieces[-1].rows.stop, 2 * n * (k + 1)
+    buf = np.empty((m, width))
     zp, s = np.empty((m, 1, 2 * n)), np.empty((m, n, n))
     zs_re, zs_im = np.empty((2, m, k, 2 * n))
     rekey = stream_rekeyer()
+    with _FILL_LOCK if width < _GIL_BOUND_NORMALS else nullcontext():
+        for p in pieces:
+            master_seed, blk = jobs[p.sample].master_seed, buf[p.rows]
+            for j in range(blk.shape[0]):
+                rekey(master_seed, p.start + j).standard_normal(out=blk[j])
     for p in pieces:
         job, maps, r = jobs[p.sample], models[p.sample], p.rows
         blk = buf[r]
-        for j in range(blk.shape[0]):
-            rekey(job.master_seed, p.start + j).standard_normal(out=blk[j])
         np.matmul(blk[:, 2 * n : 2 * n + kn].reshape(-1, k, n), maps.sec_re, out=zs_re[r])
         np.matmul(blk[:, 2 * n + kn :].reshape(-1, k, n), maps.sec_im, out=zs_im[r])
         zpr = zp[r]

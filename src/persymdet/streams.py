@@ -13,6 +13,9 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 _MASK32 = 0xFFFFFFFF
 # SeedSequence.generate_state's output hash constants
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+# Seeds each rekeyer's bit generator, whose key every rekey overwrites; a
+# given seed spares the OS entropy that ``Philox(key=...)`` gathers.
+_REKEYER_SEED = np.random.SeedSequence(0)
 
 
 def derive_stream(master_seed: int, index: int) -> np.random.Generator:
@@ -26,14 +29,15 @@ def stream_rekeyer():
 
     Constructing a Philox bit generator gathers OS entropy even when a key
     is supplied, which dominates tight Monte Carlo loops. The returned
-    callable reuses one bit generator and one state dict of Python ints (so
-    the setter makes no NumPy scalar per word): it writes the fresh
-    ``(master_seed, index)`` key into the dict and assigns the dict, which
-    copies it into the bit generator. The result is bit-for-bit identical to
-    constructing :func:`derive_stream` anew (pinned by tests). Not
-    thread-safe: create one rekeyer per task.
+    callable reuses one bit generator, built from ``_REKEYER_SEED`` without
+    entropy, and one state dict of Python ints (so the setter makes no NumPy
+    scalar per word): it writes the fresh ``(master_seed, index)`` key into
+    the dict and assigns the dict, which copies it into the bit generator.
+    The result is bit-for-bit identical to constructing
+    :func:`derive_stream` anew (pinned by tests). Not thread-safe: create
+    one rekeyer per task.
     """
-    bitgen = np.random.Philox(key=0)
+    bitgen = np.random.Philox(_REKEYER_SEED)
     gen = np.random.Generator(bitgen)
     zeros = (0, 0, 0, 0)
     key = [0, 0]

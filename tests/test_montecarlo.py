@@ -648,24 +648,24 @@ class TestSharedPool:
     GRID = ([0.5, 1.0], [0.0, 0.9])
     TRIALS = 5000  # several blocks per sample
 
-    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("workers", [2, 3, 4])
     def test_cfar_sweep(self, workers):
         args = (["glr", "rao"], CFG, *self.GRID, 0.05, self.TRIALS, 3)
         assert cfar_sweep(*args, workers=workers) == cfar_sweep(*args, workers=1)
 
-    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("workers", [2, 3, 4])
     def test_roc_curve(self, workers):
         args = ("wald", CFG, 8.0, [0.01, 0.1], self.TRIALS, 4)
         assert roc_curve(*args, workers=workers) == roc_curve(*args, workers=1)
 
-    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("workers", [2, 3, 4])
     def test_ancillarity_check(self, workers):
         h1 = ScenarioConfig(n=8, k=16, rho=0.5, cnr_db=5.0, nu=0.1,
                             hypothesis="H1", sinr_db=10.0)
         args = (CFG, h1, self.TRIALS, 5)
         assert ancillarity_check(*args, workers=workers) == ancillarity_check(*args, workers=1)
 
-    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("workers", [2, 3, 4])
     def test_mis_samples(self, workers):
         t1, lam1 = mis_samples(CFG, self.TRIALS, 6, workers=1)
         t, lam = mis_samples(CFG, self.TRIALS, 6, workers=workers)
@@ -692,6 +692,78 @@ class TestSharedPool:
         for ref, out in zip(serial, got):
             for name in ref:
                 assert np.array_equal(out[name], ref[name])
+
+    @staticmethod
+    def _fill_lock_states(monkeypatch, fail_at=None):
+        """Patch the rekeyer to record, at each fill, whether ``_FILL_LOCK`` is held.
+
+        With ``fail_at``, the first rekey after ``fail_at`` fills raises.
+        """
+        held = []
+
+        class RecordingStream:
+            def __init__(self, gen):
+                self.gen = gen
+
+            def standard_normal(self, out):
+                held.append(montecarlo._FILL_LOCK.locked())
+                return self.gen.standard_normal(out=out)
+
+        def recording_rekeyer():
+            rekey = streams.stream_rekeyer()
+
+            def recorded(master_seed, index):
+                if len(held) == fail_at:
+                    raise RuntimeError("rekey failed")
+                return RecordingStream(rekey(master_seed, index))
+
+            return recorded
+
+        monkeypatch.setattr(montecarlo, "stream_rekeyer", recording_rekeyer)
+        return held
+
+    @pytest.mark.parametrize("n,k,locked", [
+        (3, 6, True),     # 2N(K+1) = 42 normals a trial
+        (8, 16, True),    # 272
+        (12, 24, True),   # 600
+        (16, 32, False),  # 1056
+        (32, 64, False),  # 4160
+    ])
+    def test_fill_lock_only_when_gil_bound(self, monkeypatch, n, k, locked):
+        # every fill of a block whose trials draw fewer than 1024 normals runs
+        # under _FILL_LOCK, and none of a longer one
+        assert montecarlo._GIL_BOUND_NORMALS == 1024
+        assert (2 * n * (k + 1) < montecarlo._GIL_BOUND_NORMALS) is locked
+        held = self._fill_lock_states(monkeypatch)
+        cfg = ScenarioConfig(n=n, k=k, rho=0.5, cnr_db=5.0, nu=0.1)
+        trials = 2 * montecarlo._block_rows(n, k, 10**6) + 3  # three blocks
+        statistic_samples(cfg, "glr", trials, 1)
+        assert held == [locked] * trials
+        # a block of nine pieces, one per sample, fills all of them and only
+        # then maps each piece, with the lock free
+        held.clear()
+        mapped = []
+
+        class RecordingMaps:
+            def __getattr__(self, name):
+                mapped.append((len(held), montecarlo._FILL_LOCK.locked()))
+                return getattr(montecarlo._chunk_maps(cfg), name)
+
+        [pieces] = montecarlo._plan([1] * 9, 9)
+        jobs = [montecarlo._Job(cfg, 1, seed) for seed in range(9)]
+        montecarlo._draw_batch(jobs, [RecordingMaps()] * 9, pieces)
+        assert held == [locked] * 9
+        assert mapped and all(m == (9, False) for m in mapped)
+        assert not montecarlo._FILL_LOCK.locked()
+
+    @pytest.mark.parametrize("n,k", [(3, 6), (8, 16)])
+    def test_fill_lock_released_when_a_fill_raises(self, monkeypatch, n, k):
+        held = self._fill_lock_states(monkeypatch, fail_at=5)
+        cfg = ScenarioConfig(n=n, k=k, rho=0.5, cnr_db=5.0, nu=0.1)
+        with pytest.raises(RuntimeError, match="rekey failed"):
+            draw_task(cfg, 0, 20, 1)
+        assert held == [True] * 5
+        assert not montecarlo._FILL_LOCK.locked()
 
     def test_block_rows_follow_one_rule(self):
         # _BLOCK_BYTES over a trial's buffers (2N(K+1) normals, 4KN GEMM
