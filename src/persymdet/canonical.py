@@ -175,6 +175,14 @@ class CanonicalizedData:
         return self.z1k.shape[0]
 
 
+def _built_data(z1, z2, z1k, z2k) -> CanonicalizedData:
+    """Canonical data whose checks already hold by construction; only freezes."""
+    data = object.__new__(CanonicalizedData)
+    for name, a in (("z1", z1), ("z2", z2), ("z1k", z1k), ("z2k", z2k)):
+        object.__setattr__(data, name, _freeze(a))
+    return data
+
+
 def _real_unitary_map(n: int) -> np.ndarray:
     # Block construction: maps persymmetric vectors to real vectors and
     # persymmetric-Hermitian matrices to real-symmetric ones (validated by
@@ -249,12 +257,17 @@ def canonicalize(r, rk, transform: CanonicalTransform) -> CanonicalizedData:
         raise DimensionError("at least one secondary snapshot is required")
     tr = transform.t @ r
     trk = rk @ transform.t.T
-    return CanonicalizedData(
-        z1=transform.v @ tr.real,
-        z2=transform.v @ tr.imag,
-        z1k=trk.real @ transform.v.T,
-        z2k=trk.imag @ transform.v.T,
+    out = (
+        transform.v @ tr.real,
+        transform.v @ tr.imag,
+        trk.real @ transform.v.T,
+        trk.imag @ transform.v.T,
     )
+    # fresh float arrays whose shapes hold from the checks above; only
+    # finiteness, lost to a non-finite input or to overflow, is checked again
+    if not all(np.isfinite(a).all() for a in out):
+        raise ModelError("canonical data contains non-finite entries")
+    return _built_data(*out)
 
 
 def transform_covariance(m0, transform: CanonicalTransform) -> np.ndarray:

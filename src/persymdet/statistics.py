@@ -25,16 +25,19 @@ from .errors import (
     DimensionError,
     SingularSecondaryError,
 )
+from .scenario import _integral
 
 _COND_LIMIT = 1e12
 
 
-def check_support(n: int, k: int) -> None:
+def check_support(n: int, k: int, stacklevel: int = 4) -> None:
     """Training-support guard shared by the scalar and batched paths.
 
     Raises :class:`SingularSecondaryError` when ``2K < N`` (the scatter of
-    ``2K`` real secondaries is singular) and warns when ``K < 2N``. Both
-    callers sit two frames below the user's call, where the warning points.
+    ``2K`` real secondaries is singular) and warns when ``K < 2N``. The
+    warning points at the user's call, ``stacklevel`` frames up: the
+    ``SufficientStatistic`` constructor and the engine sit two frames below
+    it, :func:`assemble` one.
     """
     if 2 * k < n:
         raise SingularSecondaryError(
@@ -44,7 +47,7 @@ def check_support(n: int, k: int) -> None:
         warnings.warn(
             f"K={k} secondaries with N={n} channels is below the "
             "recommended K >= 2N training support",
-            stacklevel=4,
+            stacklevel=stacklevel,
         )
 
 
@@ -55,11 +58,13 @@ class SufficientStatistic:
     ``zp`` is N-by-2 with columns ``(z1, z2)``; ``s`` is the symmetric
     secondary scatter built from ``2K`` snapshots. The quadratic forms split
     both into their first row and the rest (``zp[1:]``, ``s[1:, 1:]``).
+    ``_psi`` caches the pair :func:`compute_psi` solved, ``None`` until then.
     """
 
     zp: np.ndarray
     s: np.ndarray
     k: int
+    _psi: "PsiPair" = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         zp = np.array(self.zp, dtype=float)
@@ -69,15 +74,18 @@ class SufficientStatistic:
         n = zp.shape[0]
         if s.shape != (n, n):
             raise DimensionError(f"S must be ({n}, {n}), got {s.shape}")
-        if self.k < 1:
+        k = _integral(self.k, "k")
+        if k < 1:
             raise ValueError("secondary count K must be >= 1")
-        check_support(n, self.k)
+        check_support(n, k)
         if _mirror_gap(s, np.transpose) > 1e-12:
             raise ValueError("S is not symmetric")
         if not (np.isfinite(zp).all() and np.isfinite(s).all()):
             raise ValueError("statistic contains non-finite entries")
         object.__setattr__(self, "zp", _freeze(zp))
         object.__setattr__(self, "s", _freeze(_hermitian_part(s)))
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "_psi", None)
 
     @property
     def n(self) -> int:
@@ -90,6 +98,7 @@ def _built_statistic(zp: np.ndarray, s: np.ndarray, k: int) -> SufficientStatist
     object.__setattr__(stat, "zp", _freeze(zp))
     object.__setattr__(stat, "s", _freeze(s))
     object.__setattr__(stat, "k", k)
+    object.__setattr__(stat, "_psi", None)
     return stat
 
 
@@ -97,10 +106,18 @@ def assemble(data: CanonicalizedData) -> SufficientStatistic:
     """Build ``(Zp, S)`` from canonicalized data.
 
     ``S`` is the sum of outer products of all ``2K`` secondary vectors.
+    The result is built trusted. The shapes and the finiteness of ``Zp``
+    hold from ``data``, and a sum of two Gram products ``A'A`` cannot fail
+    the symmetry check (NumPy forms each as one triangle and its mirror).
+    The support rule and the finiteness of ``S`` are checked, and ``S`` is
+    frozen through its symmetric part, as the constructor freezes it.
     """
     zp = np.column_stack([data.z1, data.z2])
     s = data.z1k.T @ data.z1k + data.z2k.T @ data.z2k
-    return SufficientStatistic(zp=zp, s=s, k=data.k)
+    check_support(zp.shape[0], data.k, stacklevel=3)
+    if not np.isfinite(s).all():
+        raise ValueError("statistic contains non-finite entries")
+    return _built_statistic(zp, _hermitian_part(s), data.k)
 
 
 def _eig2(p, b01, b10, q):
@@ -220,7 +237,11 @@ def compute_psi(stat: SufficientStatistic) -> PsiPair:
 
     Raises :class:`ConditioningError` unless S is positive definite with
     ``cond2(S) <= _COND_LIMIT`` (1e12); by Cauchy interlacing, so is S22.
+    A statistic is solved once: its pair is cached on it and returned by
+    every later call; a call that raises caches nothing.
     """
+    if stat._psi is not None:
+        return stat._psi
     if stat.n < 2:
         raise DimensionError("the block partition requires N >= 2")
     ev = np.linalg.eigvalsh(stat.s)
@@ -230,6 +251,7 @@ def compute_psi(stat: SufficientStatistic) -> PsiPair:
     # psi1 is symmetrized and psi0 = psi1 + u u' / c, so both are exactly symmetric
     pair = object.__new__(PsiPair)
     _fill_pair(pair, psi0[0], psi1[0])
+    object.__setattr__(stat, "_psi", pair)
     return pair
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from persymdet import (
+    CanonicalizedData,
     DimensionError,
     ModelError,
     NormalizationError,
@@ -175,6 +176,40 @@ class TestCanonicalize:
         for i in range(4):
             lhs_k = np.linalg.norm(data.z1k[i]) ** 2 + np.linalg.norm(data.z2k[i]) ** 2
             assert abs(lhs_k - np.linalg.norm(rk[i]) ** 2) < 1e-10 * rhs
+
+    def test_trusted_output_matches_constructor(self):
+        # canonicalize skips the constructor's copies; the bytes it freezes
+        # must be the constructor's
+        gen = np.random.default_rng(29)
+        for i in range(200):
+            n, k = 1 + i % 12, 1 + i % 7
+            _, xf = self._setup(n=n, nu=gen.uniform(-0.5, 0.5))
+            scale = 10.0 ** gen.uniform(-150, 150)
+            r = scale * (gen.standard_normal(n) + 1j * gen.standard_normal(n))
+            rk = scale * (gen.standard_normal((k, n)) + 1j * gen.standard_normal((k, n)))
+            data = canonicalize(r, rk if i % 3 else list(rk), xf)
+            tr, trk = xf.t @ r, rk @ xf.t.T
+            ref = CanonicalizedData(
+                xf.v @ tr.real, xf.v @ tr.imag, trk.real @ xf.v.T, trk.imag @ xf.v.T
+            )
+            for name in ("z1", "z2", "z1k", "z2k"):
+                a, b = getattr(data, name), getattr(ref, name)
+                assert a.tobytes() == b.tobytes() and a.shape == b.shape and a.dtype == b.dtype
+                assert not a.flags.writeable
+
+    @pytest.mark.parametrize("where", ["r", "rk", "overflow"])
+    def test_non_finite_output_rejected(self, where):
+        sv, xf = self._setup()
+        r, rk = sv.entries.copy(), np.tile(sv.entries, (3, 1))
+        if where == "r":
+            r[2] = np.nan
+        elif where == "rk":
+            rk[1, 4] = np.inf
+        else:  # finite input whose image overflows
+            r = np.full(6, 1.7e308 + 0j)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ModelError, match="^canonical data contains non-finite entries$"):
+                canonicalize(r, rk, xf)
 
     def test_dimension_mismatch(self):
         sv, xf = self._setup()

@@ -30,6 +30,23 @@ def _close_element(a, b, tol=1e-10):
     )
 
 
+def _reference_element(rng, n, cap):
+    """The sampler's element stream drawn call by call, with cond(G) and
+    cond(G22) both checked: ``(G, phi, candidates drawn)``."""
+    drawn = 0
+    while True:
+        drawn += 1
+        g = np.zeros((n, n))
+        g[0, 0] = rng.standard_normal()
+        g[0, 1:] = rng.standard_normal(n - 1)
+        g[1:, 1:] = rng.standard_normal((n - 1, n - 1))
+        if g[0, 0] != 0.0 and np.linalg.cond(g) <= cap and np.linalg.cond(g[1:, 1:]) <= cap:
+            break
+    rng.uniform(0.0, 2.0 * np.pi)
+    rng.random()
+    return g, float(np.exp(rng.uniform(*group._LOG_PHI_RANGE))), drawn
+
+
 class TestSampling:
     def test_orthogonal_u(self, rng):
         for _ in range(50):
@@ -68,30 +85,50 @@ class TestSampling:
         for a, b in zip(ours, draw()):
             assert np.array_equal(a.g, b.g) and np.array_equal(a.u, b.u) and a.phi == b.phi
 
-    @pytest.mark.parametrize("n, cap", [(2, 1e2), (3, 1e2), (8, 1e2), (32, 1e8)])
+    @pytest.mark.parametrize("n, cap", [(2, 1e2), (3, 1e2), (8, 1e2), (32, 1e8), (32, 1e2)])
     def test_one_normal_draw_is_the_three_call_stream(self, n, cap):
         # G's n^2 - n + 1 normals come from one call; g11, the rest of row 0
-        # and G22 drawn by three calls give the same candidates, and the
-        # draws after G read the same stream
-        def three_calls(rng):
-            while True:
-                g = np.zeros((n, n))
-                g[0, 0] = rng.standard_normal()
-                g[0, 1:] = rng.standard_normal(n - 1)
-                g[1:, 1:] = rng.standard_normal((n - 1, n - 1))
-                if g[0, 0] != 0.0 and group._cond(g) <= cap and group._cond(g[1:, 1:]) <= cap:
-                    break
-            rng.uniform(0.0, 2.0 * np.pi)
-            rng.random()
-            return g, float(np.exp(rng.uniform(*group._LOG_PHI_RANGE)))
-
-        for seed in range(50):
+        # and G22 drawn by three calls give the same candidates, a reference
+        # that checks both cond(G) and cond(G22) accepts the same ones, and
+        # the draws after G read the same stream. Where the cap rejects
+        # candidates (n >= 3, cap 1e2), at least 20,000 of them are compared.
+        wanted = 20_000 if n >= 3 and cap == 1e2 else 0
+        seed = candidates = 0
+        while seed < 50 or candidates < wanted:
             ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
             for _ in range(3):
                 e = sample_group_element(n, ours, max_condition=cap)
-                g, phi = three_calls(ref)
+                g, phi, drawn = _reference_element(ref, n, cap)
                 assert np.array_equal(e.g, g) and e.phi == phi
                 assert ours.bit_generator.state == ref.bit_generator.state
+                candidates += drawn
+            seed += 1
+
+    @pytest.mark.parametrize("cap", [1e2, 1e8])
+    def test_subblock_condition_is_implied(self, rng, cap):
+        # the sampler checks cond(G) alone; interlacing bounds cond(G22) by it
+        for i in range(2_000):
+            e = sample_group_element(2 + i % 9, rng, max_condition=cap)
+            assert np.linalg.cond(e.g[1:, 1:]) <= np.linalg.cond(e.g) <= cap
+
+    def test_one_condition_number_per_candidate(self, monkeypatch):
+        shapes = []
+
+        def counting(a):
+            shapes.append(a.shape)
+            return np.linalg.cond(a)
+
+        monkeypatch.setattr(group, "_cond", counting)
+        gen, ref = np.random.default_rng(2), np.random.default_rng(2)
+        for _ in range(100):
+            shapes.clear()
+            sample_group_element(8, gen, max_condition=1e2)
+            assert shapes == [(8, 8)] * _reference_element(ref, 8, 1e2)[2]
+        # a cap of 1 rejects every candidate, each after one condition number
+        shapes.clear()
+        with pytest.raises(RuntimeError, match="no acceptably conditioned element"):
+            sample_group_element(5, gen, max_condition=1.0)
+        assert shapes == [(5, 5)] * group._SAMPLING_ATTEMPTS
 
     def test_sampled_elements_pass_public_checks(self, rng):
         # the sampler skips the constructor's checks; each must still hold
@@ -149,6 +186,30 @@ class TestSampling:
             GroupElement(g=g, u=np.eye(2), phi=1.0)
         with pytest.raises(ValueError):
             GroupElement(g=np.eye(3), u=np.eye(2), phi=-1.0)
+
+    @pytest.mark.parametrize("part, index, bad", [
+        ("g", (0, 0), np.inf), ("g", (0, 2), np.nan), ("g", (0, 2), -np.inf),
+        ("g", (2, 0), np.nan), ("u", (1, 0), np.nan), ("u", (1, 0), np.inf),
+        ("phi", None, np.inf), ("phi", None, np.nan),
+    ])
+    def test_non_finite_parts_rejected(self, part, index, bad):
+        # checked before the other checks: a NaN passed the orthogonality test
+        # of U, and a NaN below g11 is reported as non-finite, not as structure
+        parts = {"g": np.eye(3), "u": np.eye(2), "phi": 1.0}
+        if index is None:
+            parts[part] = bad
+        else:
+            parts[part][index] = bad
+        message = {"g": "G contains non-finite", "u": "U contains non-finite",
+                   "phi": "phi must be finite"}[part]
+        with pytest.raises(ValueError, match=f"^{message}"):
+            GroupElement(**parts)
+
+    def test_inverse_of_a_subnormal_scale_rejected(self):
+        # 1 / 1e-320 overflows: the inverse once carried phi = inf
+        with pytest.raises(ValueError, match="^phi must be finite"):
+            inverse(GroupElement(g=np.eye(3), u=np.eye(2), phi=1e-320))
+        assert inverse(GroupElement(g=np.eye(3), u=np.eye(2), phi=1e-300)).phi == 1.0 / 1e-300
 
 
 class TestComposition:

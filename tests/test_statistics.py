@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,16 +11,19 @@ from persymdet import (
     ScenarioConfig,
     SingularSecondaryError,
     SufficientStatistic,
+    act,
     assemble,
     build_transform,
     canonicalize,
     compute_psi,
+    invariance_report,
     mis,
     sample_dataset,
+    sample_group_element,
     scale_estimates,
     steering,
 )
-from persymdet import group
+from persymdet import group, statistics
 from persymdet.statistics import _eig2, _gamma_hat, _psi_batch
 from persymdet.streams import derive_stream
 
@@ -81,6 +86,55 @@ class TestAssemble:
         with pytest.warns(UserWarning, match="K >= 2N"):
             SufficientStatistic(zp=np.zeros((4, 2)), s=np.eye(4), k=4)
 
+    def test_low_support_warning_points_at_the_call(self):
+        data = CanonicalizedData(z1=np.ones(4), z2=np.ones(4), z1k=np.eye(4)[:3], z2k=np.eye(4)[:3])
+        with pytest.warns(UserWarning, match="K >= 2N") as record:
+            assemble(data)
+        with pytest.warns(UserWarning, match="K >= 2N") as record_constructor:
+            SufficientStatistic(np.ones((4, 2)), np.eye(4), 4)
+        assert record[0].filename == record_constructor[0].filename == __file__
+
+    @pytest.mark.parametrize("k", [16.5, True, "16", None])
+    def test_count_rule_applies_to_k(self, k):
+        with pytest.raises(ValueError, match="^k must be an integer"):
+            SufficientStatistic(zp=np.ones((8, 2)), s=np.eye(8), k=k)
+
+    @pytest.mark.parametrize("k", [np.int64(16), 16.0, 16])
+    def test_integral_k_stored_as_int(self, k):
+        stat = SufficientStatistic(zp=np.ones((8, 2)), s=np.eye(8), k=k)
+        assert stat.k == 16 and type(stat.k) is int
+
+    def test_trusted_assemble_matches_constructor(self):
+        # assemble skips the constructor's copies and its symmetry test; the
+        # bytes it freezes must be the constructor's
+        gen = np.random.default_rng(29)
+        for i in range(300):
+            n, k = 2 + i % 11, 1 + i % 23
+            scale = 10.0 ** gen.uniform(-160, 150)  # S subnormal at the low end
+            data = CanonicalizedData(*(scale * gen.standard_normal(shape)
+                                       for shape in (n, n, (k, n), (k, n))))
+            if 2 * k < n:
+                with pytest.raises(SingularSecondaryError):
+                    assemble(data)
+                continue
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                stat = assemble(data)
+                ref = SufficientStatistic(
+                    np.column_stack([data.z1, data.z2]),
+                    data.z1k.T @ data.z1k + data.z2k.T @ data.z2k, k,
+                )
+            for a, b in ((stat.zp, ref.zp), (stat.s, ref.s)):
+                assert a.tobytes() == b.tobytes() and a.shape == b.shape and a.dtype == b.dtype
+                assert not a.flags.writeable
+            assert stat.k == ref.k and type(stat.k) is int and stat._psi is None
+
+    def test_overflowing_scatter_rejected(self):
+        data = CanonicalizedData(z1=np.ones(4), z2=np.ones(4), z1k=np.full((8, 4), 1e200),
+                                 z2k=np.ones((8, 4)))
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="^statistic contains non-finite entries$"):
+            assemble(data)
+
     def test_scatter_consistency_monte_carlo(self):
         # S / (2K) converges to gamma * M, the canonical-domain covariance
         n, k = 4, 10_000
@@ -129,6 +183,29 @@ class TestComputePsi:
         stat = SufficientStatistic(zp=np.ones((4, 2)), s=s, k=8)
         with pytest.raises(ConditioningError):
             compute_psi(stat)
+        # a call that raises caches nothing, so the next one raises again
+        assert stat._psi is None
+        with pytest.raises(ConditioningError):
+            compute_psi(stat)
+
+    def test_solved_once_per_statistic(self, stat_factory, rng, monkeypatch):
+        solves = []
+
+        def counting(zp, s, index_base=0):
+            solves.append(len(zp))
+            return _psi_batch(zp, s, index_base)
+
+        monkeypatch.setattr(statistics, "_psi_batch", counting)
+        stat = stat_factory(3)
+        assert stat._psi is None
+        psis = compute_psi(stat)
+        assert compute_psi(stat) is psis and stat._psi is psis and solves == [1]
+        # the caller's pair serves invariance_report's base evaluation; each
+        # image of act is a new statistic and is solved once
+        moved = act(sample_group_element(stat.n, rng), stat)
+        assert moved._psi is None and compute_psi(moved) is not psis
+        invariance_report(stat, lambda s: mis(compute_psi(s)).as_array(), 4, rng)
+        assert solves == [1] * 6
 
     @pytest.mark.parametrize("spectrum", [(3.0, 2.0, 1.0, -1.0), (-1.0, -2.0, -1.0, -3.0)])
     def test_indefinite_rejected(self, spectrum):
